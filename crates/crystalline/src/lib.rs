@@ -5,8 +5,9 @@
 //! Memory Efficient Wait-Free Reclamation"* (Nikolaev & Ravindran — the same
 //! author lineage as Hyaline). It reuses the Hyaline batch/reference-counting
 //! skeleton (`hyaline::batch`: one `NRef` counter per batch of retired nodes,
-//! three header words per node) and the robust per-thread-slot layout of
-//! Hyaline-1S (birth eras + per-slot access eras), then removes the two
+//! three header words per node, and the per-handle bookkeeping and owned-slot
+//! insertion shared with Hyaline-1/1S) and the robust per-thread-slot layout
+//! of Hyaline-1S (birth eras + per-slot access eras), then removes the two
 //! places where Hyaline's progress is merely lock-free:
 //!
 //! * **Wait-free `retire` — [`CrystallineL`].** Hyaline inserts a batch into
@@ -68,14 +69,10 @@
 #![warn(missing_docs)]
 
 use crossbeam_utils::CachePadded;
-use hyaline::batch::{
-    adjust_refs, chain_next, decrement, free_batch, free_batch_into, header, FinalizedBatch,
-    LocalBatch, W_NEXT,
-};
+use hyaline::batch::{adjust_refs, touch_max, FinalizedBatch, HandleBooks, OwnedInsert};
 use hyaline::head::{AtomicHead1, Head1Word, HeadWord};
 use smr_core::{
-    Atomic, EraClock, LocalStats, Magazine, NodePool, Shared, SlotRegistry, Smr, SmrConfig,
-    SmrHandle, SmrNode, SmrStats,
+    Atomic, EraClock, NodePool, Shared, SlotRegistry, Smr, SmrConfig, SmrHandle, SmrNode, SmrStats,
 };
 use std::marker::PhantomData;
 use std::ptr;
@@ -99,26 +96,10 @@ const TAG_MASK: u64 = 0xffff;
 /// publishes a help request.
 const PROTECT_FAST_ROUNDS: usize = 8;
 
-/// Raises `access` to at least `era` (the paper's CAS-max `touch`).
-///
-/// Unlike Hyaline-1S's plain owner store this never moves the era
-/// *backward*, which matters in Crystalline-W where helpers also raise it:
-/// a plain owner store could undo a helper's raise and let a retirer skip
-/// the slot while the owner holds a helper-certified pointer.
-fn touch_max(access: &AtomicU64, era: u64) {
-    let mut cur = access.load(Ordering::SeqCst);
-    while cur < era {
-        match access.compare_exchange_weak(cur, era, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => break,
-            Err(now) => cur = now,
-        }
-    }
-}
-
 /// One Crystalline slot: the Hyaline-1S head/access pair plus the wait-free
 /// machinery — the occupancy sequence, the handoff cell, and the
 /// Crystalline-W state/result words.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CrystalSlot {
     /// Retirement-list head + active bit (identical to Hyaline-1S).
     head: AtomicHead1,
@@ -142,24 +123,12 @@ struct CrystalSlot {
     help_seq: AtomicU64,
 }
 
-impl CrystalSlot {
-    fn new() -> Self {
-        Self {
-            head: AtomicHead1::new(),
-            access: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            handoff: AtomicUsize::new(0),
-            req: AtomicU64::new(0),
-            result: AtomicU64::new(0),
-            help_seq: AtomicU64::new(0),
-        }
-    }
-}
-
 /// An adopted handoff entry: `(slot index, deposit-time tag, REFS node)`.
 /// The reference is released once the slot's occupancy sequence moves past
-/// the tag; until then the batch is conservatively kept alive.
-type Adopted<T> = (usize, usize, *mut SmrNode<T>);
+/// the tag; until then the batch is conservatively kept alive. The REFS
+/// pointer is stored as `usize` so the domain's orphan list stays
+/// auto-`Send`/`Sync`.
+type Adopted = (usize, usize, usize);
 
 /// A Crystalline reclamation domain. `HELPING = false` is
 /// [`CrystallineL`] (wait-free retire); `HELPING = true` is
@@ -173,9 +142,8 @@ pub struct Crystalline<T: Send + 'static, const HELPING: bool> {
     handoff_attempts: usize,
     /// Adopted entries whose handle dropped before the guarded occupancy
     /// ended. Swept opportunistically by draining handles and finally at
-    /// domain drop. REFS pointers are stored as `usize` so the domain stays
-    /// auto-`Send`/`Sync`.
-    orphans: Mutex<Vec<(usize, usize, usize)>>,
+    /// domain drop.
+    orphans: Mutex<Vec<Adopted>>,
     stats: SmrStats,
     pool: NodePool,
     _marker: PhantomData<fn(T) -> T>,
@@ -190,19 +158,42 @@ pub type CrystallineW<T> = Crystalline<T, true>;
 
 impl<T: Send + 'static, const HELPING: bool> std::fmt::Debug for Crystalline<T, HELPING> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct(if HELPING {
-            "CrystallineW"
-        } else {
-            "CrystallineL"
-        })
-        .field("capacity", &self.slots.len())
-        .field("registered", &self.registry.claimed())
-        .field("era", &self.era.current())
-        .finish_non_exhaustive()
+        f.debug_struct(Self::name())
+            .field("capacity", &self.slots.len())
+            .field("registered", &self.registry.claimed())
+            .field("era", &self.era.current())
+            .finish_non_exhaustive()
     }
 }
 
 impl<T: Send + 'static, const HELPING: bool> Crystalline<T, HELPING> {
+    /// The handoff-cell tag of slot `idx`'s current occupancy: the low 16
+    /// bits of its occupancy sequence.
+    fn tag(&self, idx: usize) -> usize {
+        (self.slots[idx].seq.load(Ordering::SeqCst) & TAG_MASK) as usize
+    }
+
+    /// Releases the batch reference of every entry whose guarded occupancy
+    /// has ended, keeping the others.
+    ///
+    /// A tag mismatch implies at least one `leave` since the deposit, so no
+    /// reader the entry guards can still reference the batch. Equal tags
+    /// mean the occupancy *may* still be the guarded one (a 2^16-leave wrap
+    /// also lands here, which only delays the release).
+    fn release_matured(&self, entries: &mut Vec<Adopted>, reap: &mut Vec<*mut SmrNode<T>>) {
+        entries.retain(|&(idx, tag, refs)| {
+            if self.tag(idx) == tag {
+                return true;
+            }
+            // SAFETY: the entry holds exactly one NRef reference and the
+            // caller owns the entry (adopted after its displacing swap, or
+            // orphaned under the list's lock); the deposit-time occupant has
+            // left, so releasing cannot free a batch a protected reader uses.
+            unsafe { adjust_refs(refs as *mut SmrNode<T>, 1usize.wrapping_neg(), reap) };
+            false
+        });
+    }
+
     /// Completes pending protect requests before the caller advances the
     /// era: raise the slot's access to the current era, then certify it.
     /// Era advancers are exactly the threads that can starve a protect
@@ -239,9 +230,7 @@ impl<T: Send + 'static, const HELPING: bool> Smr<T> for Crystalline<T, HELPING> 
     fn with_config(config: SmrConfig) -> Self {
         let capacity = config.max_threads;
         Self {
-            slots: (0..capacity)
-                .map(|_| CachePadded::new(CrystalSlot::new()))
-                .collect(),
+            slots: (0..capacity).map(|_| CachePadded::default()).collect(),
             registry: SlotRegistry::new(capacity),
             era: EraClock::new(),
             era_freq: config.era_freq,
@@ -256,17 +245,10 @@ impl<T: Send + 'static, const HELPING: bool> Smr<T> for Crystalline<T, HELPING> 
 
     fn handle(&self) -> CrystallineHandle<'_, T, HELPING> {
         CrystallineHandle {
-            slot: self.registry.claim(),
             domain: self,
-            handle: ptr::null_mut(),
             active: false,
-            batch: LocalBatch::new(),
-            reap: Vec::new(),
             adopted: Vec::new(),
-            local_stats: LocalStats::new(),
-            alloc_counter: 0,
-            access_cache: 0,
-            mag: self.pool.magazine(),
+            books: HandleBooks::new(&self.pool, &self.stats, self.registry.claim()),
         }
     }
 
@@ -307,7 +289,11 @@ impl<T: Send + 'static, const HELPING: bool> Drop for Crystalline<T, HELPING> {
         // every occupancy has ended, every list has been traversed, and the
         // only outstanding NRef references live in handoff cells and the
         // orphan list. Release them all; every batch then crosses zero.
-        let mut reap: Vec<*mut SmrNode<T>> = Vec::new();
+        let mut books = HandleBooks::new(&self.pool, &self.stats, 0);
+        let entries = self
+            .orphans
+            .get_mut()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         for slot in self.slots.iter() {
             debug_assert_eq!(
                 slot.head.load(Ordering::Acquire),
@@ -315,55 +301,37 @@ impl<T: Send + 'static, const HELPING: bool> Drop for Crystalline<T, HELPING> {
                 "Crystalline domain dropped with a non-empty slot"
             );
             let cell = HeadWord(slot.handoff.swap(0, Ordering::Acquire));
-            let refs = cell.ptr::<SmrNode<T>>();
-            if !refs.is_null() {
-                // SAFETY: no occupancy survives (all handles dropped), so no
-                // reader the cell entry guards can still reference the
-                // batch; releasing its reference is final and safe.
-                unsafe { adjust_refs(refs, 1usize.wrapping_neg(), &mut reap) };
+            if cell.ptr_bits() != 0 {
+                entries.push((0, 0, cell.ptr_bits()));
             }
         }
-        let orphans = std::mem::take(
-            &mut *self
-                .orphans
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        );
-        for (_, _, refs_bits) in orphans {
-            // SAFETY: as above — quiescent teardown; the orphaned entry's
-            // reference is the last obstacle to the batch crossing zero.
-            unsafe { adjust_refs(refs_bits as *mut SmrNode<T>, 1usize.wrapping_neg(), &mut reap) };
+        for &(_, _, refs) in entries.iter() {
+            // SAFETY: no occupancy survives (all handles dropped), so no
+            // reader a cell or orphaned entry guards can still reference the
+            // batch; releasing its reference is final and safe.
+            unsafe {
+                adjust_refs(
+                    refs as *mut SmrNode<T>,
+                    1usize.wrapping_neg(),
+                    &mut books.reap,
+                )
+            };
         }
-        let mut freed = 0u64;
-        for refs in reap {
-            // SAFETY: the batch's NRef crossed zero above; no thread can
-            // still reference any of its nodes.
-            freed += unsafe { free_batch(refs) };
-        }
-        if freed > 0 {
-            let mut ls = LocalStats::new();
-            ls.on_free(&self.stats, freed);
-            ls.flush(&self.stats);
-        }
+        books.drain();
+        books.flush();
     }
 }
 
 /// Per-thread handle to a [`Crystalline`] domain; owns one slot.
 pub struct CrystallineHandle<'d, T: Send + 'static, const HELPING: bool> {
     domain: &'d Crystalline<T, HELPING>,
-    slot: usize,
-    handle: *mut SmrNode<T>,
     active: bool,
-    batch: LocalBatch<T>,
-    reap: Vec<*mut SmrNode<T>>,
-    adopted: Vec<Adopted<T>>,
-    local_stats: LocalStats,
-    mag: Magazine,
-    alloc_counter: u64,
-    /// Lower bound on our slot's access era. Exact in Crystalline-L (the
-    /// handle is the sole writer); in Crystalline-W helpers may have raised
-    /// the real value further, which only strengthens protection.
-    access_cache: u64,
+    adopted: Vec<Adopted>,
+    /// `books.access` is a lower bound on our slot's access era. Exact in
+    /// Crystalline-L (the handle is the sole writer); in Crystalline-W
+    /// helpers may have raised the real value further, which only
+    /// strengthens protection.
+    books: HandleBooks<'d, T>,
 }
 
 // SAFETY: owned raw node pointers (local batch, reap list, adopted handoff
@@ -378,7 +346,7 @@ impl<T: Send + 'static, const HELPING: bool> std::fmt::Debug
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CrystallineHandle")
-            .field("slot", &self.slot)
+            .field("slot", &self.books.slot)
             .field("active", &self.active)
             .field("adopted", &self.adopted.len())
             .finish_non_exhaustive()
@@ -388,116 +356,12 @@ impl<T: Send + 'static, const HELPING: bool> std::fmt::Debug
 impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
     /// The dedicated slot owned by this handle.
     pub fn slot(&self) -> usize {
-        self.slot
+        self.books.slot
     }
 
     /// Adopted handoff entries still held (test/diagnostic accessor).
     pub fn adopted_len(&self) -> usize {
         self.adopted.len()
-    }
-
-    /// Decrements every batch from `next` down to (and including) the
-    /// handle node (the Hyaline-1S single-list traversal).
-    ///
-    /// # Safety
-    ///
-    /// `next` must be a node this slot's reference still pins (the detached
-    /// head, or a `Next` link read while inside the operation); every node
-    /// on the sublist stays live until its decrement below.
-    unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>) {
-        let handle = self.handle;
-        loop {
-            let curr = next;
-            if curr.is_null() {
-                break;
-            }
-            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
-            decrement(curr, &mut self.reap);
-            if curr == handle {
-                break;
-            }
-        }
-    }
-
-    /// Disposes of a displaced handoff entry: releases its batch reference
-    /// when the tag proves the deposit-time occupancy ended, otherwise
-    /// adopts it for a later retry.
-    ///
-    /// The entry is this handle's sole responsibility from the moment the
-    /// swap returned it — the slot owner will never see it again.
-    fn release_or_adopt(&mut self, idx: usize, prev: HeadWord) {
-        let refs = prev.ptr::<SmrNode<T>>();
-        if refs.is_null() {
-            return;
-        }
-        let tag = prev.refs();
-        let now = (self.domain.slots[idx].seq.load(Ordering::SeqCst) & TAG_MASK) as usize;
-        if now != tag {
-            // The occupancy the entry was deposited under has ended (tag
-            // mismatch implies at least one `leave` since the deposit), so
-            // no reader it guards can still reference the batch.
-            // SAFETY: the entry holds exactly one NRef reference and we are
-            // its sole owner after the displacing swap; the deposit-time
-            // occupant has left, so releasing cannot free a batch any
-            // protected reader still uses.
-            unsafe { adjust_refs(refs, 1usize.wrapping_neg(), &mut self.reap) };
-        } else {
-            // Same low 16 bits: the occupancy *may* still be the one the
-            // entry guards (a 2^16-leave wrap also lands here, which only
-            // delays the release). Hold the reference and retry later.
-            self.adopted.push((idx, tag, refs));
-        }
-    }
-
-    /// Releases every adopted entry whose guarded occupancy has ended.
-    fn retry_adopted(&mut self) {
-        if self.adopted.is_empty() {
-            return;
-        }
-        let mut still = Vec::new();
-        for (idx, tag, refs) in std::mem::take(&mut self.adopted) {
-            let now = (self.domain.slots[idx].seq.load(Ordering::SeqCst) & TAG_MASK) as usize;
-            if now != tag {
-                // SAFETY: same argument as `release_or_adopt`'s release arm
-                // — the guarded occupancy ended, the reference is ours.
-                unsafe { adjust_refs(refs, 1usize.wrapping_neg(), &mut self.reap) };
-            } else {
-                still.push((idx, tag, refs));
-            }
-        }
-        self.adopted = still;
-    }
-
-    /// Opportunistically releases matured orphaned entries (adopted entries
-    /// whose handle dropped before the guarded occupancy ended). Skips the
-    /// sweep entirely when the lock is contended — orphans are rare and the
-    /// domain's `Drop` sweeps whatever remains.
-    fn sweep_orphans(&mut self) {
-        let Ok(mut orphans) = self.domain.orphans.try_lock() else {
-            return;
-        };
-        if orphans.is_empty() {
-            return;
-        }
-        let mut still = Vec::new();
-        for (idx, tag, refs_bits) in orphans.drain(..) {
-            let now = (self.domain.slots[idx].seq.load(Ordering::SeqCst) & TAG_MASK) as usize;
-            if now != tag {
-                // SAFETY: same argument as `release_or_adopt`'s release arm;
-                // ownership of the entry passed to the orphan list when the
-                // adopting handle dropped, and we hold the list's lock.
-                unsafe {
-                    adjust_refs(
-                        refs_bits as *mut SmrNode<T>,
-                        1usize.wrapping_neg(),
-                        &mut self.reap,
-                    )
-                };
-            } else {
-                still.push((idx, tag, refs_bits));
-            }
-        }
-        *orphans = still;
     }
 
     /// Inserts a finalized batch into every slot that is active *and*
@@ -507,30 +371,27 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
     /// `handoff_attempts` failed CASes on one slot the batch is deposited
     /// into the slot's handoff cell with a single unconditional swap. The
     /// cell entry carries one NRef reference (counted in `inserts` like a
-    /// list insertion); a displaced previous entry is handled by
-    /// [`release_or_adopt`](Self::release_or_adopt).
+    /// list insertion); a displaced previous entry is adopted until the
+    /// occupancy it guards ends (see [`Crystalline::release_matured`]).
     ///
     /// # Safety
     ///
     /// `fin` must come from this handle's own `LocalBatch::finalize` and be
     /// unpublished: no other thread may have seen any chain node yet.
-    unsafe fn insert_batch(&mut self, mut fin: FinalizedBatch<T>) {
+    unsafe fn insert_batch(&mut self, fin: FinalizedBatch<T>) {
         let domain = self.domain;
         fence(Ordering::SeqCst);
-        let mut insert_node = fin.chain_head;
-        // Once the chain is exhausted, remaining slots each take a fresh
-        // dummy; a node already linked into one slot list must never be
-        // pushed onto a second one. Handoffs consume no chain node at all —
-        // the cell holds the REFS pointer directly.
-        let mut spare: *mut SmrNode<T> = ptr::null_mut();
-        let mut inserts: usize = 0;
+        let (min_birth, refs_node) = (fin.min_birth, fin.refs_node);
+        // Handoffs consume no chain node at all: the cell holds the REFS
+        // pointer directly.
+        let mut batch = OwnedInsert::new(fin);
         for idx in domain.registry.iter_claimed() {
             let slot = &domain.slots[idx];
             let mut attempts = 0usize;
             loop {
                 let head = slot.head.load(Ordering::Acquire);
                 let access = slot.access.load(Ordering::SeqCst);
-                if !head.active() || access < fin.min_birth {
+                if !head.active() || access < min_birth {
                     break;
                 }
                 if attempts >= domain.handoff_attempts {
@@ -539,90 +400,62 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
                     // batch is either the tagged occupancy (the entry is
                     // released only once the tag moves past it) or has
                     // already left (releasing is then safe regardless).
-                    let tag = (slot.seq.load(Ordering::SeqCst) & TAG_MASK) as usize;
-                    inserts += 1;
+                    let tag = domain.tag(idx);
+                    batch.inserts += 1;
                     let prev = HeadWord(
                         slot.handoff
-                            .swap(HeadWord::pack(tag, fin.refs_node as usize).0, Ordering::AcqRel),
+                            .swap(HeadWord::pack(tag, refs_node as usize).0, Ordering::AcqRel),
                     );
-                    self.release_or_adopt(idx, prev);
+                    if prev.ptr_bits() != 0 {
+                        // The displaced entry is ours alone from the moment
+                        // the swap returned it: adopt it, then release every
+                        // adopted entry whose occupancy has ended.
+                        self.adopted.push((idx, prev.refs(), prev.ptr_bits()));
+                        domain.release_matured(&mut self.adopted, &mut self.books.reap);
+                    }
                     break;
                 }
-                let node = if insert_node != fin.refs_node {
-                    insert_node
-                } else {
-                    if spare.is_null() {
-                        spare = fin.extend_with_dummy();
-                        self.local_stats.on_alloc(&domain.stats);
-                        self.local_stats.on_retire(&domain.stats);
-                    }
-                    spare
-                };
-                header(node)
-                    .word(W_NEXT)
-                    .store(head.ptr::<SmrNode<T>>() as usize, Ordering::Relaxed);
-                let new = Head1Word::pack(true, node);
-                if slot
-                    .head
-                    .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    inserts += 1;
-                    if node == insert_node {
-                        insert_node = chain_next(insert_node);
-                    } else {
-                        spare = ptr::null_mut(); // dummy consumed
-                    }
+                if batch.try_push(&slot.head, head, &mut self.books) {
                     break;
                 }
                 attempts += 1;
             }
         }
-        adjust_refs(fin.refs_node, inserts, &mut self.reap);
+        batch.finish(&mut self.books.reap);
     }
 
-    fn finalize_partial(&mut self) {
-        if self.batch.is_empty() {
+    /// Pads a non-empty local batch to two nodes (REFS plus one insertion
+    /// node; `insert_batch` extends it on demand) and inserts it.
+    fn finalize(&mut self) {
+        if self.books.batch.is_empty() {
             return;
         }
-        let domain = self.domain;
-        while self.batch.count() < 2 {
-            // SAFETY: dummy nodes have no payload; the allocation is fresh
-            // (or freshly renewed by the recycle pool).
-            let dummy = unsafe { domain.pool.alloc_dummy::<T>(&mut self.mag, &domain.stats) };
-            self.local_stats.on_alloc(&domain.stats);
-            self.local_stats.on_retire(&self.domain.stats);
-            // SAFETY: `dummy` is exclusively owned until pushed.
-            unsafe { self.batch.push(dummy.as_ptr(), u64::MAX, false) };
-        }
+        self.books.pad(2);
         // SAFETY: all batch nodes are owned by this handle and unpublished.
-        let fin = unsafe { self.batch.finalize(0) };
+        let fin = unsafe { self.books.batch.finalize(0) };
         // SAFETY: `fin` is this handle's own freshly finalized batch.
         unsafe { self.insert_batch(fin) };
     }
 
     fn drain(&mut self) {
-        self.retry_adopted();
-        self.sweep_orphans();
-        if self.reap.is_empty() {
-            return;
-        }
-        let mut freed = 0;
         let domain = self.domain;
-        let mag = &mut self.mag;
-        for refs in std::mem::take(&mut self.reap) {
-            // SAFETY: a REFS node enters `reap` only when its batch's NRef
-            // crossed zero, so no thread can still reference the batch.
-            freed += unsafe { free_batch_into(refs, &domain.pool, mag, &domain.stats) };
+        if !self.adopted.is_empty() {
+            domain.release_matured(&mut self.adopted, &mut self.books.reap);
         }
-        self.local_stats.on_free(&domain.stats, freed);
+        // Orphans (adopted entries whose handle dropped first) are rare: skip
+        // the sweep when the lock is contended; the domain's `Drop` sweeps
+        // whatever remains.
+        if let Ok(mut orphans) = domain.orphans.try_lock() {
+            domain.release_matured(&mut orphans, &mut self.books.reap);
+        }
+        self.books.drain();
     }
 
     /// Crystalline-W slow-path protect: publish a request, let era
     /// advancers certify a raised access era, consume the certificate.
     fn protect_slow(&mut self, src: &Atomic<T>) -> Shared<T> {
         let domain = self.domain;
-        let slot = &domain.slots[self.slot];
+        let slot = &domain.slots[self.books.slot];
         loop {
             // Arm a fresh request: result word first (EMPTY | seq), then the
             // request itself — helpers check them in the same order. The
@@ -641,7 +474,7 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
                     // Certified: a helper raised our access to at least `r`
                     // *before* writing the certificate, so the reservation
                     // is already published. Reload the pointer under it.
-                    self.access_cache = self.access_cache.max(r);
+                    self.books.access = self.books.access.max(r);
                     fence(Ordering::SeqCst);
                     let node = src.load(Ordering::Acquire);
                     if domain.era.current() <= r {
@@ -657,7 +490,7 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
                 let e = domain.era.current();
                 touch_max(&slot.access, e);
                 fence(Ordering::SeqCst);
-                self.access_cache = self.access_cache.max(e);
+                self.books.access = self.books.access.max(e);
                 let node = src.load(Ordering::Acquire);
                 if domain.era.current() == e {
                     slot.req.store(0, Ordering::SeqCst);
@@ -671,15 +504,15 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
 impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<'_, T, HELPING> {
     fn enter(&mut self) {
         debug_assert!(!self.active, "enter while already inside an operation");
-        self.domain.slots[self.slot].head.enter();
-        self.handle = ptr::null_mut();
+        self.domain.slots[self.books.slot].head.enter();
+        self.books.handle = ptr::null_mut();
         self.active = true;
     }
 
     fn leave(&mut self) {
         debug_assert!(self.active, "leave without a matching enter");
         self.active = false;
-        let slot = &self.domain.slots[self.slot];
+        let slot = &self.domain.slots[self.books.slot];
         let old = slot.head.leave();
         // End this occupancy *before* collecting the cell: displacers
         // holding entries tagged with the old sequence may release them as
@@ -694,15 +527,15 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
             // handle (now leaving — by the SMR contract it no longer
             // dereferences protected pointers) or an earlier occupancy that
             // already left; releasing the cell's reference is safe.
-            unsafe { adjust_refs(cell_refs, 1usize.wrapping_neg(), &mut self.reap) };
+            unsafe { adjust_refs(cell_refs, 1usize.wrapping_neg(), &mut self.books.reap) };
         }
         let head: *mut SmrNode<T> = old.ptr();
         if !head.is_null() {
             // SAFETY: `leave` detached the list; its nodes stay live until
             // this traversal applies our decrement to each batch.
-            unsafe { self.traverse(head) };
+            unsafe { self.books.traverse(head) };
         }
-        self.handle = ptr::null_mut();
+        self.books.handle = ptr::null_mut();
         self.drain();
     }
 
@@ -713,25 +546,19 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
         // very occupancy read after the trim point, and the release
         // condition (occupancy sequence advanced) cannot hold while we are
         // still inside the operation.
-        let head = self.domain.slots[self.slot].head.load(Ordering::Acquire);
-        let curr: *mut SmrNode<T> = head.ptr();
-        if curr != self.handle {
-            debug_assert!(!curr.is_null());
-            // SAFETY: we are still inside the operation, so the head and its
-            // sublist are pinned by our slot's active reference.
-            let next =
-                unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) } as *mut SmrNode<T>;
-            // SAFETY: as above — the sublist is pinned until traversed.
-            unsafe { self.traverse(next) };
-            self.handle = curr;
-        }
+        let head = self.domain.slots[self.books.slot]
+            .head
+            .load(Ordering::Acquire)
+            .ptr();
+        // SAFETY: we are still inside the operation, so the head and its
+        // sublist are pinned by our slot's active reference.
+        unsafe { self.books.trim(head) };
         self.drain();
     }
 
     fn alloc(&mut self, value: T) -> Shared<T> {
         let domain = self.domain;
-        self.alloc_counter += 1;
-        if self.alloc_counter.is_multiple_of(domain.era_freq) {
+        if self.books.era_tick(domain.era_freq) {
             if HELPING {
                 // Crystalline-W: complete pending protect requests before
                 // advancing the era — advancers are the threads that can
@@ -740,85 +567,61 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
             }
             domain.era.advance();
         }
-        self.local_stats.on_alloc(&domain.stats);
-        let node = domain.pool.alloc(&mut self.mag, &domain.stats, value);
-        // SAFETY: `node` is a fresh, unshared allocation; stamping its birth
-        // era in the header word races with nobody.
-        unsafe {
-            (*node.as_ptr())
-                .header()
-                .word(W_NEXT)
-                .store(domain.era.current() as usize, Ordering::Relaxed);
-        }
-        Shared::from_node(node)
+        Shared::from_node(self.books.alloc(value, Some(domain.era.current())))
     }
 
     // SAFETY: per the `SmrHandle::dealloc` contract the node was never
     // published, so this thread owns it outright and may free it in place.
     unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        let domain = self.domain;
-        self.local_stats.on_dealloc(&domain.stats);
-        domain.pool.dispose(&mut self.mag, &domain.stats, ptr.as_node_ptr(), true);
+        self.books.dealloc(ptr.as_node_ptr());
     }
 
     fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         let domain = self.domain;
-        let slot = &domain.slots[self.slot];
-        if !HELPING {
-            // Crystalline-L: exactly the Hyaline-1S loop. The handle is the
-            // slot's only access writer, so a plain store suffices and the
-            // cache is exact.
-            loop {
-                let node = src.load(Ordering::Acquire);
-                let alloc = domain.era.current();
-                if self.access_cache >= alloc {
-                    return node;
-                }
-                slot.access.store(alloc, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                self.access_cache = alloc;
-            }
-        }
-        // Crystalline-W fast path: identical shape, but *all* access
-        // updates are CAS-max touches — a plain owner store could move the
-        // access era backward past a helper's raise and un-protect a
+        let slot = &domain.slots[self.books.slot];
+        // Crystalline-L is exactly the Hyaline-1S loop: the handle is the
+        // slot's only access writer, so a plain store suffices and the cache
+        // is exact. Crystalline-W bounds the fast path and makes *all* access
+        // updates CAS-max touches — a plain owner store could move the access
+        // era backward past a helper's raise and un-protect a
         // helper-certified pointer.
-        for _ in 0..PROTECT_FAST_ROUNDS {
+        let mut round = 0;
+        loop {
+            if HELPING && round == PROTECT_FAST_ROUNDS {
+                return self.protect_slow(src);
+            }
             let node = src.load(Ordering::Acquire);
             let e = domain.era.current();
-            if self.access_cache >= e {
+            if self.books.access >= e {
                 return node;
             }
-            touch_max(&slot.access, e);
+            if HELPING {
+                touch_max(&slot.access, e);
+            } else {
+                slot.access.store(e, Ordering::SeqCst);
+            }
             fence(Ordering::SeqCst);
-            self.access_cache = self.access_cache.max(e);
+            self.books.access = self.books.access.max(e);
+            round += 1;
         }
-        self.protect_slow(src)
     }
 
     // SAFETY: per the `SmrHandle::retire` contract the node is unlinked from
     // every shared structure, so batching it for deferred free is sound.
     unsafe fn retire(&mut self, ptr: Shared<T>) {
         debug_assert!(self.active, "retire outside an operation");
+        self.books.retire(ptr.as_node_ptr(), true);
         let domain = self.domain;
-        let node = ptr.as_node_ptr();
-        let birth = header(node).word(W_NEXT).load(Ordering::Relaxed) as u64;
-        self.local_stats.on_retire(&domain.stats);
-        self.batch.push(node, birth, true);
-        let target = domain.batch_min.max(domain.registry.claimed() + 1);
-        if self.batch.count() >= target {
-            let fin = self.batch.finalize(0);
-            self.insert_batch(fin);
+        if self.books.batch.count() >= domain.batch_min.max(domain.registry.claimed() + 1) {
+            self.finalize();
             self.drain();
         }
     }
 
     fn flush(&mut self) {
-        self.finalize_partial();
+        self.finalize();
         self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
+        self.books.flush();
     }
 }
 
@@ -827,25 +630,18 @@ impl<T: Send + 'static, const HELPING: bool> Drop for CrystallineHandle<'_, T, H
         if self.active {
             self.leave();
         }
-        self.finalize_partial();
-        self.drain();
+        self.flush();
         if !self.adopted.is_empty() {
             // Entries still guarding a live occupancy outlive this handle:
             // pass their references to the domain's orphan list, swept by
             // other handles' drains and finally by the domain's Drop.
-            let mut orphans = self
-                .domain
+            self.domain
                 .orphans
                 .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for (idx, tag, refs) in self.adopted.drain(..) {
-                orphans.push((idx, tag, refs as usize));
-            }
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .append(&mut self.adopted);
         }
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-        domain.registry.release(self.slot);
+        self.domain.registry.release(self.books.slot);
     }
 }
 

@@ -1,4 +1,5 @@
-//! Batch construction and the retired-node header layout.
+//! Batch construction, the retired-node header layout, and the per-handle
+//! bookkeeping ([`HandleBooks`]) every Hyaline variant and Crystalline share.
 //!
 //! Section 3.2 of the paper: threads accumulate retired nodes into local
 //! *batches* and keep a single reference counter per batch. Each node keeps
@@ -20,8 +21,10 @@
 //!   REFS node — the chain's tail — this word points back to the chain head
 //!   (`First` in the paper's `free_batch(Ref->First)`).
 
-use smr_core::{Magazine, NodeHeader, NodePool, SmrNode, SmrStats};
-use std::sync::atomic::Ordering;
+use crate::head::{AtomicHead1, Head1Word};
+use smr_core::{LocalStats, Magazine, NodeHeader, NodePool, SmrNode, SmrStats};
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Header word holding the slot-list `Next` / birth era / `NRef`.
 pub const W_NEXT: usize = 0;
@@ -147,21 +150,21 @@ pub struct FinalizedBatch<T> {
 }
 
 impl<T> FinalizedBatch<T> {
-    /// Prepends a fresh dummy node to the chain, returning it.
+    /// Prepends the payload-less `dummy` (from [`HandleBooks::dummy`]) to
+    /// the chain, returning it.
     ///
-    /// Hyaline-1 uses this when more slots turn out to be active than the
-    /// batch has insertion nodes (threads registered between batch sizing
-    /// and insertion). Mutating the chain is safe while the batch's final
-    /// `Inserts`/`Empty` adjustment is still pending: `NRef` cannot cross
-    /// zero before that adjustment, so no concurrent thread can be freeing
-    /// or walking the chain yet.
+    /// Owned-slot inserters use this when more slots turn out to be active
+    /// than the batch has insertion nodes (threads registered between batch
+    /// sizing and insertion). Mutating the chain is safe while the batch's
+    /// final `Inserts`/`Empty` adjustment is still pending: `NRef` cannot
+    /// cross zero before that adjustment, so no concurrent thread can be
+    /// freeing or walking the chain yet.
     ///
     /// # Safety
     ///
     /// Must only be called by the inserting thread before the batch's final
-    /// [`adjust_refs`] call.
-    pub unsafe fn extend_with_dummy(&mut self) -> *mut SmrNode<T> {
-        let dummy = SmrNode::<T>::alloc_dummy().as_ptr();
+    /// [`adjust_refs`] call, with a `dummy` this thread owns exclusively.
+    pub unsafe fn extend_with_dummy(&mut self, dummy: *mut SmrNode<T>) -> *mut SmrNode<T> {
         header(dummy)
             .word(W_LINK)
             .store(self.refs_node as usize, Ordering::Relaxed);
@@ -175,6 +178,87 @@ impl<T> FinalizedBatch<T> {
         self.chain_head = dummy;
         self.count += 1;
         dummy
+    }
+}
+
+/// Owned-slot batch insertion (Figure 4), shared by Hyaline-1/1S and
+/// Crystalline: pushes the batch onto slot lists, one node per slot, and
+/// counts the slots it was inserted into (`Inserts`).
+pub struct OwnedInsert<T> {
+    fin: FinalizedBatch<T>,
+    next: *mut SmrNode<T>,
+    spare: *mut SmrNode<T>,
+    /// Slots that hold a reference to the batch so far.
+    pub inserts: usize,
+}
+
+impl<T> OwnedInsert<T> {
+    /// Starts inserting `fin` at the head of its chain.
+    pub fn new(fin: FinalizedBatch<T>) -> Self {
+        Self {
+            next: fin.chain_head,
+            spare: std::ptr::null_mut(),
+            inserts: 0,
+            fin,
+        }
+    }
+
+    /// Tries once to push the batch onto `slot`, whose head was read as the
+    /// active `head`. Returns whether the CAS won.
+    ///
+    /// Once the chain is exhausted (more active slots than insertion nodes,
+    /// e.g. a dummy-padded partial batch at flush time), every further slot
+    /// gets a *fresh* dummy from `books`. A chain node that is already
+    /// linked into one slot's list must never be pushed onto a second list:
+    /// its `Next` word is the first list's link, and overwriting it corrupts
+    /// that list.
+    ///
+    /// # Safety
+    ///
+    /// Only the thread that finalized the batch may insert it, before
+    /// [`finish`](Self::finish).
+    pub unsafe fn try_push(
+        &mut self,
+        slot: &AtomicHead1,
+        head: Head1Word,
+        books: &mut HandleBooks<'_, T>,
+    ) -> bool {
+        let node = if self.next != self.fin.refs_node {
+            self.next
+        } else {
+            if self.spare.is_null() {
+                self.spare = self.fin.extend_with_dummy(books.dummy());
+            }
+            self.spare
+        };
+        header(node)
+            .word(W_NEXT)
+            .store(head.ptr::<SmrNode<T>>() as usize, Ordering::Relaxed);
+        let new = Head1Word::pack(true, node);
+        if slot
+            .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return false;
+        }
+        self.inserts += 1; // replaces REF #2#
+        if node == self.next {
+            self.next = chain_next(node);
+        } else {
+            self.spare = std::ptr::null_mut(); // dummy consumed
+        }
+        true
+    }
+
+    /// Replaces REF #3#: one `NRef` adjustment by the number of insertions.
+    /// If no slot took the batch, `inserts == 0` frees it immediately.
+    ///
+    /// # Safety
+    ///
+    /// As for [`try_push`](Self::try_push); the batch is handed over to the
+    /// slots that took it.
+    pub unsafe fn finish(self, reap: &mut Vec<*mut SmrNode<T>>) {
+        adjust_refs(self.fin.refs_node, self.inserts, reap);
     }
 }
 
@@ -243,42 +327,17 @@ pub unsafe fn adjust_refs<T>(
     }
 }
 
-/// Frees every node of the batch owned by `refs`, returning how many nodes
-/// were freed (dummies included).
+/// Frees every node of the batch owned by `refs` through the domain's
+/// recycle pool, returning how many nodes were freed (dummies included).
+/// Payloads are dropped immediately, per the chain's live bits, while the
+/// node memory is handed to `pool`/`mag` for reuse by later allocations.
+/// This is the hyaline-family half of the common `dispose` hook; with
+/// recycling disabled the pool falls through to [`SmrNode::dealloc`].
 ///
 /// # Safety
 ///
-/// The batch's `NRef` must have crossed zero: no thread can still reference
-/// any node of the batch.
-pub unsafe fn free_batch<T>(refs: *mut SmrNode<T>) -> u64 {
-    let refs_word = header(refs).word(W_CHAIN).load(Ordering::Acquire);
-    let mut cur = (refs_word & !LIVE_BIT) as *mut SmrNode<T>;
-    let mut freed = 0u64;
-    while cur != refs {
-        let w = header(cur).word(W_CHAIN).load(Ordering::Relaxed);
-        let next = (w & !LIVE_BIT) as *mut SmrNode<T>;
-        SmrNode::dealloc(cur, w & LIVE_BIT != 0);
-        freed += 1;
-        cur = next;
-    }
-    SmrNode::dealloc(refs, refs_word & LIVE_BIT != 0);
-    freed + 1
-}
-
-/// [`free_batch`], but routing every node through the domain's recycle pool:
-/// payloads are dropped immediately (per the chain's live bits, exactly as
-/// `free_batch` would) while the node memory is handed to `pool`/`mag` for
-/// reuse by subsequent allocations. This is the hyaline-family half of the
-/// common `dispose` hook.
-///
-/// With recycling disabled the pool falls through to [`SmrNode::dealloc`],
-/// making this byte-for-byte equivalent to [`free_batch`].
-///
-/// # Safety
-///
-/// Same contract as [`free_batch`]: the batch's `NRef` must have crossed
-/// zero, so no thread can still reference any node of the batch. `mag` must
-/// belong to `pool`.
+/// The batch's `NRef` must have crossed zero, so no thread can still
+/// reference any node of the batch. `mag` must belong to `pool`.
 pub unsafe fn free_batch_into<T>(
     refs: *mut SmrNode<T>,
     pool: &NodePool,
@@ -302,25 +361,249 @@ pub unsafe fn free_batch_into<T>(
     freed + 1
 }
 
+/// Figure 5's `touch`: raises a slot's access era to at least `era` with a
+/// CAS-max loop, returning the era now published. It never moves the era
+/// backward, which matters wherever more than one thread writes it: threads
+/// sharing a Hyaline-S slot, or Crystalline-W helpers raising an owner's era.
+pub fn touch_max(access: &AtomicU64, era: u64) -> u64 {
+    let mut cur = access.load(Ordering::SeqCst);
+    while cur < era {
+        match access.compare_exchange_weak(cur, era, Ordering::SeqCst, Ordering::SeqCst) {
+            Ok(_) => return era,
+            Err(now) => cur = now,
+        }
+    }
+    cur
+}
+
+/// The per-handle state every Hyaline variant and Crystalline share: the
+/// slot and handle node of the current operation, the local batch, the
+/// batches whose `NRef` crossed zero, the recycle magazine, buffered
+/// statistics and the era counters.
+pub struct HandleBooks<'d, T> {
+    pool: &'d NodePool,
+    shared: &'d SmrStats,
+    /// The slot this handle enters through.
+    pub slot: usize,
+    /// The list head seen at `enter` (or the last trim), where this
+    /// handle's traversals stop.
+    pub handle: *mut SmrNode<T>,
+    /// The access era this handle last published (robust schemes).
+    pub access: u64,
+    /// The batch under construction.
+    pub batch: LocalBatch<T>,
+    /// REFS nodes of batches whose `NRef` crossed zero, freed by
+    /// [`drain`](Self::drain) oldest first.
+    pub reap: Vec<*mut SmrNode<T>>,
+    local: LocalStats,
+    mag: Magazine,
+    allocs: u64,
+}
+
+impl<'d, T> HandleBooks<'d, T> {
+    /// Empty books for a handle in `slot`, drawing node memory from the
+    /// domain's `pool` and publishing into its `shared` statistics.
+    pub fn new(pool: &'d NodePool, shared: &'d SmrStats, slot: usize) -> Self {
+        Self {
+            pool,
+            shared,
+            slot,
+            handle: std::ptr::null_mut(),
+            access: 0,
+            batch: LocalBatch::new(),
+            reap: Vec::new(),
+            local: LocalStats::new(),
+            mag: pool.magazine(),
+            allocs: 0,
+        }
+    }
+
+    /// Counts one allocation and says whether it is an era tick: every
+    /// `freq`-th allocation advances the global era (Figure 5's
+    /// `init_node`).
+    #[inline]
+    pub fn era_tick(&mut self, freq: u64) -> bool {
+        self.allocs += 1;
+        self.allocs.is_multiple_of(freq)
+    }
+
+    /// Allocates a node holding `value` from the recycle pool, stamping
+    /// `birth` into it for the robust variants (the birth era shares header
+    /// word 0 with `Next`, which retirement overwrites).
+    #[inline]
+    pub fn alloc(&mut self, value: T, birth: Option<u64>) -> NonNull<SmrNode<T>> {
+        self.local.on_alloc(self.shared);
+        let node = self.pool.alloc(&mut self.mag, self.shared, value);
+        if let Some(era) = birth {
+            // SAFETY: `node` is a fresh, unshared allocation; stamping its
+            // header word races with nobody.
+            unsafe { header(node.as_ptr()) }
+                .word(W_NEXT)
+                .store(era as usize, Ordering::Relaxed);
+        }
+        node
+    }
+
+    /// Frees a node that was never published.
+    ///
+    /// # Safety
+    ///
+    /// `node` must hold a live payload and be exclusively owned by the
+    /// caller: no other thread has ever seen it.
+    pub unsafe fn dealloc(&mut self, node: *mut SmrNode<T>) {
+        self.local.on_dealloc(self.shared);
+        self.pool.dispose(&mut self.mag, self.shared, node, true);
+    }
+
+    /// A payload-less dummy node from the recycle pool, counted as
+    /// allocated and retired. It may only enter a batch chain, never a data
+    /// structure.
+    pub fn dummy(&mut self) -> *mut SmrNode<T> {
+        self.local.on_alloc(self.shared);
+        self.local.on_retire(self.shared);
+        // SAFETY: a dummy only ever sits in a batch chain with its live bit
+        // clear, so its payload is never read and it is freed with
+        // `drop_payload = false`, as `alloc_dummy` requires.
+        unsafe { self.pool.alloc_dummy::<T>(&mut self.mag, self.shared) }.as_ptr()
+    }
+
+    /// Pads the local batch with dummies up to `len` nodes (Section 2.4:
+    /// partial batches "can be immediately finalized by allocating a finite
+    /// number of dummy nodes").
+    pub fn pad(&mut self, len: usize) {
+        while self.batch.count() < len {
+            let dummy = self.dummy();
+            // SAFETY: `dummy` is fresh and exclusively owned until pushed.
+            unsafe { self.batch.push(dummy, u64::MAX, false) };
+        }
+    }
+
+    /// Adds a retired node to the local batch, with the birth era stamped at
+    /// allocation when `robust` (the stamp shares header word 0).
+    ///
+    /// # Safety
+    ///
+    /// `node` must satisfy [`LocalBatch::push`]: unlinked, retired once, and
+    /// left untouched until its batch is inserted.
+    #[inline]
+    pub unsafe fn retire(&mut self, node: *mut SmrNode<T>, robust: bool) {
+        let birth = if robust {
+            header(node).word(W_NEXT).load(Ordering::Relaxed) as u64
+        } else {
+            0
+        };
+        self.local.on_retire(self.shared);
+        self.batch.push(node, birth, true);
+    }
+
+    /// Walks a retirement sublist from `next` down to (and including) the
+    /// handle node, decrementing each batch's `NRef` (Figure 3's `traverse`).
+    /// Returns the loop's iteration count, a terminating null hop included,
+    /// which exactly balances the `HRef` snapshots Hyaline-S adds to `Ack`
+    /// (Figure 5).
+    ///
+    /// # Safety
+    ///
+    /// Every node from `next` on must still be pinned by the caller's slot
+    /// reference: `next` is a detached list head or a `Next` link read while
+    /// that reference was held.
+    #[inline]
+    pub unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>) -> i64 {
+        let handle = self.handle;
+        let mut hops = 0;
+        loop {
+            let curr = next;
+            hops += 1;
+            if curr.is_null() {
+                break;
+            }
+            // Read the link *before* the decrement: our decrement may be the
+            // batch's last, after which the node may be freed by `drain`.
+            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
+            decrement(curr, &mut self.reap);
+            if curr == handle {
+                break;
+            }
+        }
+        hops
+    }
+
+    /// The §3.3 trim: traverses the sublist retired since the handle node
+    /// up to the current list `head`, which becomes the new handle node.
+    /// Returns the hops as [`traverse`](Self::traverse) does, or 0 when
+    /// nothing was retired.
+    ///
+    /// # Safety
+    ///
+    /// The caller must still be inside the operation whose slot reference
+    /// pins `head` and its sublist.
+    pub unsafe fn trim(&mut self, head: *mut SmrNode<T>) -> i64 {
+        if head == self.handle {
+            return 0;
+        }
+        debug_assert!(!head.is_null());
+        let next = header(head).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
+        let hops = self.traverse(next);
+        self.handle = head;
+        hops
+    }
+
+    /// Frees every reaped batch, oldest first (the paper's deferred
+    /// deallocation list, reversing LIFO reaping into FIFO freeing).
+    pub fn drain(&mut self) {
+        if self.reap.is_empty() {
+            return;
+        }
+        let mut freed = 0;
+        for refs in std::mem::take(&mut self.reap) {
+            // SAFETY: a REFS node enters `reap` only when its batch's NRef
+            // crossed zero, so no thread can still reference the batch.
+            freed += unsafe { free_batch_into(refs, self.pool, &mut self.mag, self.shared) };
+        }
+        self.local.on_free(self.shared, freed);
+    }
+
+    /// Publishes the buffered statistics and spills the recycle magazine, so
+    /// a parked handle (`HandlePool` check-in flushes before parking) never
+    /// strands pool capacity.
+    pub fn flush(&mut self) {
+        self.pool.flush(&mut self.mag, self.shared);
+        self.local.flush(self.shared);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use smr_core::SmrConfig;
 
-    static DROPS: AtomicU64 = AtomicU64::new(0);
-    struct Payload;
+    /// Frees a batch through a recycle pool that is disabled, so every node
+    /// goes straight back to the allocator.
+    ///
+    /// # Safety
+    ///
+    /// As for [`free_batch_into`].
+    unsafe fn free_batch<T>(refs: *mut SmrNode<T>) -> u64 {
+        let pool = NodePool::for_node::<T>(&SmrConfig::default());
+        let mut mag = pool.magazine();
+        free_batch_into(refs, &pool, &mut mag, &SmrStats::new())
+    }
+
+    /// Counts its drops in a counter of the test's own, so tests running in
+    /// parallel never see each other's drops.
+    struct Payload(&'static AtomicU64);
     impl Drop for Payload {
         fn drop(&mut self) {
-            DROPS.fetch_add(1, Ordering::Relaxed);
+            self.0.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     #[test]
     fn batch_chain_and_free() {
-        DROPS.store(0, Ordering::Relaxed);
+        static DROPS: AtomicU64 = AtomicU64::new(0);
         let mut batch = LocalBatch::<Payload>::new();
         for i in 0..5 {
-            let node = SmrNode::alloc(Payload);
+            let node = SmrNode::alloc(Payload(&DROPS));
             // SAFETY: `node` was just allocated and is exclusively owned.
             unsafe { batch.push(node.as_ptr(), 100 + i, true) };
         }
@@ -348,9 +631,9 @@ mod tests {
 
     #[test]
     fn dummy_nodes_freed_without_drop() {
-        DROPS.store(0, Ordering::Relaxed);
+        static DROPS: AtomicU64 = AtomicU64::new(0);
         let mut batch = LocalBatch::<Payload>::new();
-        let real = SmrNode::alloc(Payload);
+        let real = SmrNode::alloc(Payload(&DROPS));
         // SAFETY: `real` was just allocated and is exclusively owned.
         unsafe { batch.push(real.as_ptr(), 1, true) };
         for _ in 0..3 {

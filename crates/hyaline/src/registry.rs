@@ -1,27 +1,20 @@
-//! The adaptive slot directory of Section 4.3 (Figure 6) used by Hyaline-S.
+//! The slot directory of Section 4.3 (Figure 6): the slot storage of every
+//! Hyaline variant, and the adaptive growth of Hyaline-S.
 
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use crate::head::AtomicHead;
 
-/// One Hyaline-S slot: the list head, the per-slot access era, and the
-/// stall-detection `Ack` counter (Figure 5), padded to its own cache lines.
-#[derive(Debug)]
-pub(crate) struct SlotS {
-    pub(crate) head: AtomicHead,
+/// One slot, padded to its own cache lines: the list head (`H` is
+/// [`AtomicHead`] for shared slots, `AtomicHead1` for owned ones), the
+/// per-slot access era of the robust variants, and the stall-detection
+/// `Ack` counter of robust shared slots (Figure 5).
+#[derive(Debug, Default)]
+pub(crate) struct SlotS<H = AtomicHead> {
+    pub(crate) head: H,
     pub(crate) access: AtomicU64,
     pub(crate) ack: AtomicI64,
-}
-
-impl SlotS {
-    fn new() -> Self {
-        Self {
-            head: AtomicHead::new(),
-            access: AtomicU64::new(0),
-            ack: AtomicI64::new(0),
-        }
-    }
 }
 
 /// Maximum number of directory entries: with doubling growth from `k_min`,
@@ -34,23 +27,38 @@ const DIR_ENTRIES: usize = 64;
 /// Entry 0 holds the initial `k_min` slots; entry `s ≥ 1` holds slots
 /// `[2^(s-1)·k_min, 2^s·k_min)`. Growing doubles the total slot count by
 /// CAS-installing one new bank; the arrays already handed out are never
-/// moved, so readers need no synchronization beyond an acquire load.
-pub(crate) struct SlotDirectory {
-    banks: [AtomicPtr<CachePadded<SlotS>>; DIR_ENTRIES],
-    k_min: usize,
+/// moved, so readers need no synchronization beyond an acquire load. With
+/// `max_k == k_min` the directory is a fixed array (Hyaline, Hyaline-1,
+/// Hyaline-1S, and Hyaline-S without `adaptive`).
+///
+/// `repr(C)` keeps the fields every slot lookup reads (`shift`, `k` and the
+/// first banks) on one cache line.
+#[repr(C)]
+pub(crate) struct SlotDirectory<H: Default = AtomicHead> {
+    /// `log2(k_min)`: every index computation is a shift or a mask.
+    shift: u32,
     k: AtomicUsize,
     max_k: usize,
+    banks: [AtomicPtr<CachePadded<SlotS<H>>>; DIR_ENTRIES],
 }
 
 impl SlotDirectory {
+    /// A directory of shared-slot heads (Hyaline, Hyaline-S); see
+    /// [`with_growth`](Self::with_growth).
+    pub(crate) fn new(k_min: usize, max_k: usize) -> Self {
+        Self::with_growth(k_min, max_k)
+    }
+}
+
+impl<H: Default> SlotDirectory<H> {
     /// Creates a directory with `k_min` initial slots, growable up to
     /// `max_k` (both powers of two; `max_k == k_min` disables growth).
-    pub(crate) fn new(k_min: usize, max_k: usize) -> Self {
+    pub(crate) fn with_growth(k_min: usize, max_k: usize) -> Self {
         assert!(k_min.is_power_of_two() && max_k.is_power_of_two());
         assert!(max_k >= k_min);
         let dir = Self {
             banks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            k_min,
+            shift: k_min.trailing_zeros(),
             k: AtomicUsize::new(k_min),
             max_k,
         };
@@ -59,20 +67,14 @@ impl SlotDirectory {
         dir
     }
 
-    fn alloc_bank(len: usize) -> *mut CachePadded<SlotS> {
-        let bank: Box<[CachePadded<SlotS>]> = (0..len)
-            .map(|_| CachePadded::new(SlotS::new()))
-            .collect();
-        Box::into_raw(bank) as *mut CachePadded<SlotS>
+    fn alloc_bank(len: usize) -> *mut CachePadded<SlotS<H>> {
+        let bank: Box<[CachePadded<SlotS<H>>]> = (0..len).map(|_| CachePadded::default()).collect();
+        Box::into_raw(bank) as *mut CachePadded<SlotS<H>>
     }
 
     /// Size of directory bank `s`.
     fn bank_len(&self, s: usize) -> usize {
-        if s == 0 {
-            self.k_min
-        } else {
-            (1 << (s - 1)) * self.k_min
-        }
+        1 << (self.shift as usize + s.saturating_sub(1))
     }
 
     /// First slot index covered by bank `s`.
@@ -80,19 +82,19 @@ impl SlotDirectory {
         if s == 0 {
             0
         } else {
-            (1 << (s - 1)) * self.k_min
+            self.bank_len(s)
         }
     }
 
     /// Directory entry covering slot `i` (Figure 6's `s = log2(⌊i/k_min⌋)+1`
-    /// with `log2(0) = -1`, computed with a leading-zero count).
+    /// with `log2(0) = -1`, computed with a shift and a leading-zero count).
     #[inline]
     fn bank_index(&self, i: usize) -> usize {
-        let q = i / self.k_min;
+        let q = i >> self.shift;
         if q == 0 {
             0
         } else {
-            (usize::BITS - 1 - q.leading_zeros()) as usize + 1
+            (usize::BITS - q.leading_zeros()) as usize
         }
     }
 
@@ -108,7 +110,7 @@ impl SlotDirectory {
     ///
     /// Debug-panics if `i` is outside the current `k`.
     #[inline]
-    pub(crate) fn slot(&self, i: usize) -> &SlotS {
+    pub(crate) fn slot(&self, i: usize) -> &SlotS<H> {
         let s = self.bank_index(i);
         let base = self.bank_base(s);
         debug_assert!(i < self.k());
@@ -158,12 +160,12 @@ impl SlotDirectory {
     ///
     /// `ptr`/`len` must describe a bank from `alloc_bank` that is no longer
     /// reachable by any thread.
-    unsafe fn drop_bank(ptr: *mut CachePadded<SlotS>, len: usize) {
+    unsafe fn drop_bank(ptr: *mut CachePadded<SlotS<H>>, len: usize) {
         drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)));
     }
 }
 
-impl Drop for SlotDirectory {
+impl<H: Default> Drop for SlotDirectory<H> {
     fn drop(&mut self) {
         for s in 0..DIR_ENTRIES {
             let ptr = self.banks[s].load(Ordering::Acquire);
@@ -176,10 +178,10 @@ impl Drop for SlotDirectory {
     }
 }
 
-impl std::fmt::Debug for SlotDirectory {
+impl<H: Default> std::fmt::Debug for SlotDirectory<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlotDirectory")
-            .field("k_min", &self.k_min)
+            .field("k_min", &self.bank_len(0))
             .field("k", &self.k())
             .field("max_k", &self.max_k)
             .finish()
@@ -230,9 +232,7 @@ mod tests {
         let dir = &SlotDirectory::new(2, 128);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| {
-                    while dir.grow() {}
-                });
+                s.spawn(|| while dir.grow() {});
             }
         });
         assert_eq!(dir.k(), 128);

@@ -48,8 +48,8 @@
 //! The exploration assumes **sequential consistency**: it interleaves atomic
 //! actions but does not model weaker memory orderings. The production crates
 //! use acquire/release (and seq-cst where required); this checker validates
-//! the *algorithmic* accounting, while the stress and sanitizer suites cover
-//! ordering in the real implementation.
+//! the *algorithmic* accounting, while the stress suites exercise ordering in
+//! the real implementation. No sanitizer suite exists yet.
 //!
 //! # Example
 //!

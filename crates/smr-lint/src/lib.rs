@@ -2,7 +2,8 @@
 //! ratcheted baseline.
 //!
 //! The workspace carries hundreds of `unsafe` sites and `Ordering::Relaxed`
-//! uses; Miri and TSan are unavailable (offline, stable-only toolchain), so
+//! uses. The stable toolchain it builds with has no Miri and no sanitizers,
+//! and no sanitizer suite (nightly, with the ASan/TSan runtimes) runs yet, so
 //! this crate is the repo's own static-analysis layer. A hand-written,
 //! comment/string-aware lexer ([`lexer`]) walks every production source
 //! file ([`walk`]) and enforces three rules ([`rules`]):

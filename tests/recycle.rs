@@ -1,6 +1,6 @@
 //! Node-recycling pool semantics through the public scheme API.
 //!
-//! Four guarantees the recycle layer must uphold regardless of scheme:
+//! Five guarantees the recycle layer must uphold regardless of scheme:
 //!
 //! 1. **Capacity overflow falls back to the real allocator.** A pool sized
 //!    far below the churn volume must evict to `dealloc` without leaking or
@@ -14,6 +14,9 @@
 //! 4. **Domain drop drains pools with zero leaks.** Allocations resident in
 //!    magazines and partitions when the domain dies are returned to the
 //!    allocator; their payloads were already dropped at dispose time.
+//! 5. **Dummy nodes come from the pool too.** The padding of a partial batch
+//!    and the per-slot dummies an owned-slot batch grows by are allocations
+//!    like any other: each one is a pool hit or a pool miss.
 //!
 //! Payload-level balance is asserted with [`DropRegistry`]-tracked values
 //! (a leak shows as a missing drop, a stale reissue as a double drop at the
@@ -215,4 +218,62 @@ fn domain_drop_drains_pools_without_leaks() {
     // `churn` dropped the domain on exit; the drain already happened.
     registry.assert_quiescent();
     assert_eq!(registry.created(), THREADS * OPS_PER_THREAD);
+}
+
+/// Scenario 5: six readers sit inside an operation with current access
+/// eras while one partial batch (a single retired node) is flushed. Shared
+/// slots pad the batch up front; owned slots (Hyaline-1/1S, Crystalline)
+/// extend it with one dummy per active reader during insertion. Either
+/// way every allocation the ledger counts went through the pool.
+fn dummies_through_pool<S: Smr<Tracked<u64>>>(registry: &DropRegistry) {
+    const READERS: usize = 6;
+    let domain = S::with_config(recycling(SmrConfig {
+        batch_min: 64,      // never filled: the flush is partial
+        era_freq: 1 << 20, // no era advance, so no reader goes stale
+        ..base_cfg()
+    }));
+    let link: Atomic<Tracked<u64>> = Atomic::null();
+    let inside = std::sync::Barrier::new(READERS + 1);
+    let flushed = std::sync::Barrier::new(READERS + 1);
+    std::thread::scope(|scope| {
+        for _ in 0..READERS {
+            scope.spawn(|| {
+                let mut h = domain.handle();
+                h.enter();
+                h.protect(0, &link); // publish a current access era
+                inside.wait();
+                flushed.wait();
+                h.leave();
+            });
+        }
+        let mut w = domain.handle();
+        inside.wait();
+        w.enter();
+        let node = w.alloc(registry.track(7));
+        // SAFETY: `node` was never published; no other reference exists.
+        unsafe { w.retire(node) };
+        w.leave();
+        w.flush();
+        flushed.wait();
+    });
+    let stats = domain.stats();
+    assert!(stats.balanced(), "{}: ledger unbalanced", S::name());
+    assert_eq!(
+        stats.pool_hits() + stats.pool_misses(),
+        stats.allocated(),
+        "{}: an allocation bypassed the recycle pool",
+        S::name()
+    );
+}
+
+#[test]
+fn dummy_nodes_are_drawn_from_the_pool() {
+    let registry = DropRegistry::new();
+    dummies_through_pool::<hyaline::Hyaline<Tracked<u64>>>(&registry);
+    dummies_through_pool::<hyaline::Hyaline1<Tracked<u64>>>(&registry);
+    dummies_through_pool::<hyaline::HyalineS<Tracked<u64>>>(&registry);
+    dummies_through_pool::<hyaline::Hyaline1S<Tracked<u64>>>(&registry);
+    dummies_through_pool::<crystalline::CrystallineL<Tracked<u64>>>(&registry);
+    dummies_through_pool::<crystalline::CrystallineW<Tracked<u64>>>(&registry);
+    registry.assert_quiescent();
 }
