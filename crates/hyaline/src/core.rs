@@ -449,8 +449,9 @@ impl SlotList for OwnedSlots {
 }
 
 /// A Hyaline reclamation domain over the slot list `L`, robust (Figure 5)
-/// when `ROBUST`. Use it through the four aliases [`Hyaline`],
-/// [`Hyaline1`], [`HyalineS`] and [`Hyaline1S`].
+/// when `ROBUST`. Use it through the four aliases [`Hyaline`](crate::Hyaline),
+/// [`Hyaline1`](crate::Hyaline1), [`HyalineS`](crate::HyalineS) and
+/// [`Hyaline1S`](crate::Hyaline1S).
 ///
 /// `enter` takes a reference in a slot; `retire` accumulates nodes into
 /// local batches and appends full batches to every slot that may reference
@@ -495,59 +496,7 @@ pub struct Domain<T: Send + 'static, L: SlotList, const ROBUST: bool> {
     _marker: PhantomData<fn(T) -> T>,
 }
 
-/// The general Hyaline domain (paper Sections 3.1–3.3, Figure 3): shared
-/// slots, no eras.
-///
-/// Hyaline is fully *transparent*: handles need no registration and any
-/// number of threads may share the fixed `k` slots. It is **not robust**: a
-/// stalled thread inside an operation pins every batch retired in its slot
-/// since it entered (use [`HyalineS`] when robustness matters).
-pub type Hyaline<T> = Domain<T, SharedSlots, false>;
-
-/// Per-thread handle to a [`Hyaline`] domain.
-pub type HyalineHandle<'d, T> = Handle<'d, T, SharedSlots, false>;
-
-/// Hyaline-1 (Figure 4): owned single-width slots, no eras.
-///
-/// It works with single-width CAS on any architecture and makes
-/// `enter`/`leave` wait-free, at the cost of one slot per live handle:
-/// threads register by claiming a slot, so it is *almost* transparent (the
-/// paper's Table 1).
-pub type Hyaline1<T> = Domain<T, OwnedSlots, false>;
-
-/// Per-thread handle to a [`Hyaline1`] domain; owns one slot.
-pub type Hyaline1Handle<'d, T> = Handle<'d, T, OwnedSlots, false>;
-
-/// Hyaline-S (Figure 5): shared slots with birth eras, per-slot access eras
-/// and `Ack`-based stall detection, plus the §4.3 adaptive slot directory
-/// (Figure 6) when [`SmrConfig::adaptive`] is set.
-///
-/// Eras only *detect stalled threads*; they do not define reclamation
-/// intervals. `retire` skips slots whose access era is older than the
-/// batch's minimum birth era, since no thread there can hold a reference to
-/// the batch. With `adaptive: false` the slot count is capped at
-/// [`SmrConfig::slots`] (Figure 10a shows this configuration "running out of
-/// slots" once more threads stall than there are slots). With
-/// `adaptive: true` the directory doubles whenever `enter` finds every slot
-/// saturated, making the scheme fully robust.
-pub type HyalineS<T> = Domain<T, SharedSlots, true>;
-
-/// Per-thread handle to a [`HyalineS`] domain.
-pub type HyalineSHandle<'d, T> = Handle<'d, T, SharedSlots, true>;
-
-/// Hyaline-1S: owned single-width slots (Figure 4) with birth and access
-/// eras (Figure 5).
-///
-/// Each slot has exactly one owner, so `touch` is an ordinary memory write
-/// and no `Ack` bookkeeping is needed: a stalled thread only makes its
-/// *own* slot stale, and retirement skips it by the era check, so the
-/// scheme is fully robust.
-pub type Hyaline1S<T> = Domain<T, OwnedSlots, true>;
-
-/// Per-thread handle to a [`Hyaline1S`] domain; owns one slot.
-pub type Hyaline1SHandle<'d, T> = Handle<'d, T, OwnedSlots, true>;
-
-impl<T: Send + 'static> HyalineS<T> {
+impl<T: Send + 'static> Domain<T, SharedSlots, true> {
     /// The current number of slots (grows under `adaptive`).
     pub fn slot_count(&self) -> usize {
         self.list.dir.k()

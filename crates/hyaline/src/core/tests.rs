@@ -3,6 +3,7 @@
 //! instances live in one module per variant at the crate root.
 
 use super::*;
+use crate::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use std::sync::atomic::AtomicI64;
 use std::sync::{Arc, Barrier};
 

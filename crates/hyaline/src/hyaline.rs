@@ -1,43 +1,14 @@
-//! The general Hyaline algorithm (Figure 3 of the paper): multiple slot
-//! retirement lists, batched retirement, and `Adjs` wrap-around accounting.
+//! Hyaline (Figure 3): the [`Domain`] over shared slots, without eras.
 
-use crossbeam_utils::CachePadded;
-use smr_core::{
-    Atomic, LocalStats, Magazine, NodePool, Shared, Smr, SmrConfig, SmrHandle, SmrNode, SmrStats,
-};
-use std::marker::PhantomData;
-use std::ptr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::core::{Domain, Handle, SharedSlots};
 
-use crate::batch::{
-    adjust_refs, adjust_slot_credit, chain_next, decrement, free_batch_into, header,
-    FinalizedBatch, LocalBatch, W_NEXT,
-};
-use crate::head::{AtomicHead, HeadWord};
-
-/// Computes the paper's `Adjs` constant: `⌊(2^64 - 1) / k⌋ + 1 = 2^64 / k`
-/// for power-of-two `k`, so that `k * Adjs == 0 (mod 2^64)`.
-pub(crate) fn adjs_for(slots: usize) -> usize {
-    debug_assert!(slots.is_power_of_two());
-    (usize::MAX / slots).wrapping_add(1)
-}
-
-/// The general Hyaline reclamation domain (paper Sections 3.1–3.3, Figure 3).
+/// The general Hyaline domain (paper Sections 3.1–3.3, Figure 3): shared
+/// slots, no eras.
 ///
-/// `k` cache-padded slots each hold a `[HRef, HPtr]` head of a retirement
-/// list. `enter` fetch-adds the slot's reference count; `retire` accumulates
-/// nodes into local batches and appends full batches to every active slot;
-/// `leave` decrements the count and walks the sublist of batches retired
-/// during the operation, decrementing per-batch reference counters. The
-/// thread that brings a batch's counter to zero frees the whole batch —
-/// *asynchronous tracking*: nobody ever re-checks other threads' state.
-///
-/// Hyaline is fully *transparent*: handles need no registration, any number
-/// of threads may share the fixed `k` slots, and a dropped handle finalizes
-/// its partial batch with dummy nodes so the thread is immediately "off the
-/// hook". It is **not robust**: a stalled thread inside an operation pins
-/// every batch retired in its slot since it entered (use
-/// [`HyalineS`](crate::HyalineS) when robustness matters).
+/// Hyaline is fully *transparent*: handles need no registration and any
+/// number of threads may share the fixed `k` slots. It is **not robust**: a
+/// stalled thread inside an operation pins every batch retired in its slot
+/// since it entered (use [`HyalineS`](crate::HyalineS) when robustness matters).
 ///
 /// # Example
 ///
@@ -52,644 +23,46 @@ pub(crate) fn adjs_for(slots: usize) -> usize {
 /// unsafe { h.retire(node) };
 /// h.leave();
 /// ```
-pub struct Hyaline<T: Send + 'static> {
-    slots: Box<[CachePadded<AtomicHead>]>,
-    adjs: usize,
-    batch_size: usize,
-    next_slot: AtomicUsize,
-    stats: SmrStats,
-    pool: NodePool,
-    _marker: PhantomData<fn(T) -> T>,
-}
-
-impl<T: Send + 'static> std::fmt::Debug for Hyaline<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hyaline")
-            .field("slots", &self.slots.len())
-            .field("batch_size", &self.batch_size)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> Hyaline<T> {
-    fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Smallest legal batch: strictly more nodes than slots (Section 3.2).
-    fn min_insert_size(&self) -> usize {
-        self.slot_count() + 1
-    }
-}
-
-impl<T: Send + 'static> Smr<T> for Hyaline<T> {
-    type Handle<'d> = HyalineHandle<'d, T>;
-
-    fn with_config(config: SmrConfig) -> Self {
-        // A config carrying a `shards` knob is meant for a `Sharded`
-        // consumer; one plain domain sizes its batches against its full
-        // slot count, never the per-shard quotient.
-        let config = config.as_single_shard();
-        assert!(
-            config.slots.is_power_of_two(),
-            "Hyaline requires a power-of-two slot count"
-        );
-        let slots = (0..config.slots)
-            .map(|_| CachePadded::new(AtomicHead::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            adjs: adjs_for(config.slots),
-            batch_size: config.effective_batch_size(),
-            slots,
-            next_slot: AtomicUsize::new(0),
-            stats: SmrStats::new(),
-            pool: NodePool::for_node::<T>(&config),
-            _marker: PhantomData,
-        }
-    }
-
-    fn handle(&self) -> HyalineHandle<'_, T> {
-        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed) & (self.slot_count() - 1);
-        HyalineHandle {
-            domain: self,
-            slot,
-            handle: ptr::null_mut(),
-            active: false,
-            batch: LocalBatch::new(),
-            reap: Vec::new(),
-            local_stats: LocalStats::new(),
-            mag: self.pool.magazine(),
-        }
-    }
-
-    fn stats(&self) -> &SmrStats {
-        &self.stats
-    }
-
-    fn name() -> &'static str {
-        "Hyaline"
-    }
-
-    fn robust() -> bool {
-        false
-    }
-
-    fn supports_trim() -> bool {
-        true
-    }
-
-    fn shardable_by_pointer() -> bool {
-        // Protection is purely enter-scoped (slot reference counts; protect
-        // is a plain load) and alloc stamps no shard-local metadata.
-        true
-    }
-}
-
-impl<T: Send + 'static> Drop for Hyaline<T> {
-    fn drop(&mut self) {
-        // All handles borrowed `self`, so by now every thread has left and
-        // flushed: each slot's final leave detached and reaped its list.
-        for slot in self.slots.iter() {
-            debug_assert_eq!(
-                slot.load(Ordering::Acquire),
-                HeadWord::EMPTY,
-                "Hyaline domain dropped with a non-empty slot"
-            );
-        }
-    }
-}
+pub type Hyaline<T> = Domain<T, SharedSlots, false>;
 
 /// Per-thread handle to a [`Hyaline`] domain.
-pub struct HyalineHandle<'d, T: Send + 'static> {
-    domain: &'d Hyaline<T>,
-    slot: usize,
-    handle: *mut SmrNode<T>,
-    active: bool,
-    batch: LocalBatch<T>,
-    reap: Vec<*mut SmrNode<T>>,
-    local_stats: LocalStats,
-    mag: Magazine,
-}
-
-// SAFETY: the raw pointers are exclusively owned retired/reaped nodes (the
-// local batch, reap list, and recycle magazine) plus the last-seen slot
-// head, all usable from whichever thread drives the handle next; the domain
-// borrow is `Sync`.
-// Nothing is thread-affine, so a parked handle may move between tasks.
-unsafe impl<T: Send + 'static> Send for HyalineHandle<'_, T> {}
-
-impl<T: Send + 'static> std::fmt::Debug for HyalineHandle<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HyalineHandle")
-            .field("slot", &self.slot)
-            .field("active", &self.active)
-            .field("batch_len", &self.batch.count())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> HyalineHandle<'_, T> {
-    /// The slot this handle currently enters through.
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
-    /// Walks the retirement sublist from `next` down to (and including) the
-    /// handle node, decrementing each batch's `NRef` (Figure 3, `traverse`).
-    ///
-    /// # Safety
-    ///
-    /// `next` must be the `Next` link of a node this thread still holds a
-    /// logical reference to (read while the slot reference was held), so
-    /// every node on the sublist is live until its decrement below.
-    unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>) {
-        let handle = self.handle;
-        loop {
-            let curr = next;
-            if curr.is_null() {
-                break;
-            }
-            // Read the link *before* the decrement: our decrement may be the
-            // batch's last, after which the node may be freed by `drain`.
-            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
-            decrement(curr, &mut self.reap);
-            if curr == handle {
-                break;
-            }
-        }
-    }
-
-    /// Appends a finalized batch to every active slot (Figure 3, `retire`).
-    ///
-    /// # Safety
-    ///
-    /// `fin` must come from this handle's own `LocalBatch::finalize`, with a
-    /// chain of at least `slots + 1` nodes that no other thread has seen yet.
-    unsafe fn insert_batch(&mut self, fin: FinalizedBatch<T>) {
-        let domain = self.domain;
-        let mut insert_node = fin.chain_head;
-        let mut empty_adjs: usize = 0;
-        let mut any_empty = false;
-        for slot in domain.slots.iter() {
-            loop {
-                let head = slot.load(Ordering::Acquire);
-                if head.refs() == 0 {
-                    // REF #1#: no active threads; account an Adjs for this
-                    // slot directly on the batch at the end.
-                    any_empty = true;
-                    empty_adjs = empty_adjs.wrapping_add(domain.adjs);
-                    break;
-                }
-                debug_assert!(
-                    insert_node != fin.refs_node,
-                    "batch has fewer nodes than slots + 1"
-                );
-                header(insert_node)
-                    .word(W_NEXT)
-                    .store(head.ptr_bits(), Ordering::Relaxed);
-                let new = head.with_ptr(insert_node);
-                if slot
-                    .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    // REF #2#: credit the predecessor with Adjs plus the
-                    // snapshot of HRef taken by the winning CAS.
-                    let pred: *mut SmrNode<T> = head.ptr();
-                    if !pred.is_null() {
-                        adjust_slot_credit(pred, head.refs(), &mut self.reap);
-                    }
-                    insert_node = chain_next(insert_node);
-                    break;
-                }
-            }
-        }
-        if any_empty {
-            // REF #3#: contribute the skipped slots' Adjs in one shot. When
-            // *all* slots were empty this wraps to zero and frees the
-            // untouched batch immediately.
-            adjust_refs(fin.refs_node, empty_adjs, &mut self.reap);
-        }
-    }
-
-    /// Pads the partial batch with payload-less dummy nodes up to the
-    /// minimum insertable size and retires it (Section 2.4: partial batches
-    /// "can be immediately finalized by allocating a finite number of dummy
-    /// nodes").
-    fn finalize_partial(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let domain = self.domain;
-        while self.batch.count() < domain.min_insert_size() {
-            // SAFETY: dummy nodes have no payload; the pool hands out fresh
-            // or recycled exclusively-owned memory either way.
-            let dummy = unsafe { domain.pool.alloc_dummy::<T>(&mut self.mag, &domain.stats) };
-            self.local_stats.on_alloc(&domain.stats);
-            self.local_stats.on_retire(&domain.stats);
-            // SAFETY: `dummy` is exclusively owned until pushed.
-            unsafe { self.batch.push(dummy.as_ptr(), u64::MAX, false) };
-        }
-        // SAFETY: the loop above padded the batch to >= slots + 1 nodes, all
-        // owned by this handle and unpublished.
-        let fin = unsafe { self.batch.finalize(domain.adjs) };
-        // SAFETY: `fin` is this handle's own freshly finalized batch.
-        unsafe { self.insert_batch(fin) };
-    }
-
-    /// Frees all reaped batches, oldest first (the paper's deferred
-    /// deallocation list that reverses LIFO reaping into FIFO freeing).
-    fn drain(&mut self) {
-        if self.reap.is_empty() {
-            return;
-        }
-        let domain = self.domain;
-        let mut freed = 0;
-        for refs in std::mem::take(&mut self.reap) {
-            // SAFETY: a REFS node enters `reap` only when its batch's NRef
-            // crossed zero, so no thread can still reference the batch.
-            freed += unsafe { free_batch_into(refs, &domain.pool, &mut self.mag, &domain.stats) };
-        }
-        self.local_stats.on_free(&domain.stats, freed);
-    }
-}
-
-impl<T: Send + 'static> SmrHandle<T> for HyalineHandle<'_, T> {
-    fn enter(&mut self) {
-        debug_assert!(!self.active, "enter while already inside an operation");
-        let old = self.domain.slots[self.slot].enter_faa();
-        self.handle = old.ptr();
-        self.active = true;
-    }
-
-    fn leave(&mut self) {
-        debug_assert!(self.active, "leave without a matching enter");
-        self.active = false;
-        let slot = &self.domain.slots[self.slot];
-        let (old_head, curr, next) = loop {
-            let head = slot.load(Ordering::Acquire);
-            let curr: *mut SmrNode<T> = head.ptr();
-            let mut next = ptr::null_mut();
-            if curr != self.handle {
-                debug_assert!(!curr.is_null());
-                // SAFETY: a non-handle head exists only while we (an active
-                // thread) hold a reference to it, so reading its Next is safe.
-                next = unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) }
-                    as *mut SmrNode<T>;
-            }
-            let mut new = head.with_refs(head.refs() - 1);
-            if head.refs() == 1 {
-                new = new.with_ptr(ptr::null_mut::<SmrNode<T>>());
-            }
-            if slot
-                .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break (head, curr, next);
-            }
-        };
-        if old_head.refs() == 1 && !curr.is_null() {
-            // We detached the list: the head node never gets a successor, so
-            // give it its final per-slot Adjs as if it were a predecessor.
-            // SAFETY: `curr` was the head we just detached; the batch stays
-            // live until this final credit is applied.
-            unsafe { adjust_slot_credit(curr, 0, &mut self.reap) };
-        }
-        if curr != self.handle {
-            // SAFETY: `next` was read from `curr` while our slot reference
-            // pinned the sublist; traverse releases it exactly once.
-            unsafe { self.traverse(next) };
-        }
-        self.handle = ptr::null_mut();
-        self.drain();
-    }
-
-    /// Hyaline's real §3.3 trimming: dereferences the sublist retired since
-    /// `enter` (or the previous `trim`) without touching the slot `Head`.
-    fn trim(&mut self) {
-        debug_assert!(self.active, "trim outside an operation");
-        let head = self.domain.slots[self.slot].load(Ordering::Acquire);
-        let curr: *mut SmrNode<T> = head.ptr();
-        if curr != self.handle {
-            debug_assert!(!curr.is_null());
-            // SAFETY: we are still inside the operation, so the head and its
-            // sublist are pinned by our slot reference.
-            let next =
-                unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) } as *mut SmrNode<T>;
-            // SAFETY: as above — the sublist is pinned until traversed.
-            unsafe { self.traverse(next) };
-            self.handle = curr;
-        }
-        self.drain();
-    }
-
-    fn alloc(&mut self, value: T) -> Shared<T> {
-        let domain = self.domain;
-        self.local_stats.on_alloc(&domain.stats);
-        Shared::from_node(domain.pool.alloc(&mut self.mag, &domain.stats, value))
-    }
-
-    // SAFETY: per the `SmrHandle::dealloc` contract the node was never
-    // published, so this thread owns it outright and may free it in place.
-    unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        let domain = self.domain;
-        self.local_stats.on_dealloc(&domain.stats);
-        domain.pool.dispose(&mut self.mag, &domain.stats, ptr.as_node_ptr(), true);
-    }
-
-    fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
-        // Plain Hyaline needs no per-access protection: active threads are
-        // tracked through the slot reference counts alone (Figure 1a: "No
-        // deref in basic Hyaline").
-        src.load(Ordering::Acquire)
-    }
-
-    // SAFETY: per the `SmrHandle::retire` contract the node is unlinked from
-    // every shared structure, so batching it for deferred free is sound.
-    unsafe fn retire(&mut self, ptr: Shared<T>) {
-        debug_assert!(self.active, "retire outside an operation");
-        let node = ptr.as_node_ptr();
-        self.local_stats.on_retire(&self.domain.stats);
-        self.batch.push(node, 0, true);
-        if self.batch.count() >= self.domain.batch_size {
-            let fin = self.batch.finalize(self.domain.adjs);
-            self.insert_batch(fin);
-            self.drain();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.finalize_partial();
-        self.drain();
-        let domain = self.domain;
-        // Spill the recycle magazine too, so a parked handle (`HandlePool`
-        // check-in flushes before parking) never strands pool capacity.
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-    }
-}
-
-impl<T: Send + 'static> Drop for HyalineHandle<'_, T> {
-    fn drop(&mut self) {
-        if self.active {
-            self.leave();
-        }
-        self.finalize_partial();
-        self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-    }
-}
+pub type HyalineHandle<'d, T> = Handle<'d, T, SharedSlots, false>;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn small_domain() -> Hyaline<u64> {
-        Hyaline::with_config(SmrConfig {
-            slots: 4,
-            batch_min: 2, // effective batch size = slots + 1 = 5
-            ..SmrConfig::default()
-        })
-    }
+    use crate::core::tests as t;
+    type D = crate::Hyaline<u64>;
+    crate::core::tests::shared_bodies!(Hyaline);
 
     #[test]
     fn adjs_constant_matches_paper() {
-        // k = 1 -> Adjs = 0 (unsigned overflow); k = 8 with 64-bit -> 2^61.
-        assert_eq!(adjs_for(1), 0);
-        assert_eq!(adjs_for(8), 1usize << 61);
-        // k * Adjs == 0 (mod 2^64) for every power of two.
-        for shift in 0..16 {
-            let k = 1usize << shift;
-            assert_eq!(adjs_for(k).wrapping_mul(k), 0);
-        }
+        t::adjs_constant_matches_paper();
     }
-
     #[test]
     fn single_thread_retire_reclaims_everything() {
-        let domain = small_domain();
-        {
-            let mut h = domain.handle();
-            for i in 0..100u64 {
-                h.enter();
-                let node = h.alloc(i);
-                // SAFETY: `node` was never published; no other reference exists.
-                unsafe { h.retire(node) };
-                h.leave();
-            }
-        }
-        assert_eq!(domain.stats().allocated(), domain.stats().freed());
-        assert!(domain.stats().balanced());
+        t::single_thread_reclaims::<D>();
     }
-
-    #[test]
-    fn partial_batch_finalized_on_drop() {
-        let domain = small_domain();
-        {
-            let mut h = domain.handle();
-            h.enter();
-            let node = h.alloc(1);
-            // SAFETY: `node` was never published; no other reference exists.
-            unsafe { h.retire(node) };
-            h.leave();
-            // One node in the local batch; drop must dummy-pad and insert.
-        }
-        assert!(domain.stats().balanced());
-        assert!(domain.stats().freed() >= 1);
-    }
-
-    #[test]
-    fn protect_is_plain_load() {
-        let domain = small_domain();
-        let mut h = domain.handle();
-        h.enter();
-        let node = h.alloc(42);
-        let link = Atomic::new(node);
-        let seen = h.protect(0, &link);
-        assert_eq!(seen, node);
-        // SAFETY: we are inside the operation, so `seen` is pinned and live.
-        assert_eq!(unsafe { *seen.deref() }, 42);
-        // SAFETY: `link` is local to this test; no other thread sees `node`.
-        unsafe { h.retire(node) };
-        h.leave();
-    }
-
-    #[test]
-    fn dealloc_unpublished_node() {
-        let domain = small_domain();
-        let mut h = domain.handle();
-        let node = h.alloc(5);
-        // SAFETY: `node` was never published; dealloc-in-place is allowed.
-        unsafe { h.dealloc(node) };
-        drop(h);
-        assert!(domain.stats().balanced());
-        assert_eq!(domain.stats().deallocated(), 1);
-    }
-
-    #[test]
-    fn concurrent_stalled_reader_blocks_then_releases() {
-        // A reader inside an operation must pin batches retired after its
-        // enter; once it leaves, they are freed.
-        let domain = &small_domain();
-        let barrier = &std::sync::Barrier::new(2);
-        let release = &std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut reader = domain.handle();
-                reader.enter();
-                barrier.wait(); // reader is inside
-                release.wait(); // hold the reservation until told
-                reader.leave();
-            });
-            let mut writer = domain.handle();
-            barrier.wait();
-            // Retire enough for several full batches.
-            for i in 0..64u64 {
-                writer.enter();
-                let node = writer.alloc(i);
-                // SAFETY: `node` was never published; no other reference exists.
-                unsafe { writer.retire(node) };
-                writer.leave();
-            }
-            writer.flush();
-            // All 64 retirements happened while the reader was inside its
-            // operation; at least the batches inserted into the reader's
-            // slot can still be pinned. Let the reader go.
-            release.wait();
-        });
-        // Everything reclaims after all threads left.
-        assert!(domain.stats().balanced());
-        assert_eq!(
-            domain.stats().allocated(),
-            domain.stats().freed(),
-            "all retired + dummy nodes freed after quiescence"
-        );
-    }
-
-    #[test]
-    fn trim_reclaims_without_leaving() {
-        let domain = &Hyaline::<u64>::with_config(SmrConfig {
-            slots: 1, // single list: the trimming thread sees every batch
-            batch_min: 2,
-            ..SmrConfig::default()
-        });
-        let mut h = domain.handle();
-        h.enter();
-        // Fill and insert exactly one batch (batch size = slots + 1 = 2... max(2, 2) = 2).
-        for i in 0..8u64 {
-            let node = h.alloc(i);
-            // SAFETY: `node` was never published; no other reference exists.
-            unsafe { h.retire(node) };
-        }
-        h.flush(); // insert any partial batch
-        let before = domain.stats().freed();
-        h.trim();
-        let after = domain.stats().freed();
-        assert!(
-            after > before,
-            "trim must reclaim batches retired since enter (before={before}, after={after})"
-        );
-        h.leave();
-        drop(h);
-        assert!(domain.stats().balanced());
-    }
-
     #[test]
     fn many_threads_stress_reclaims_all() {
-        let domain = &Hyaline::<u64>::with_config(SmrConfig {
-            slots: 4,
-            batch_min: 8,
-            ..SmrConfig::default()
-        });
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                s.spawn(move || {
-                    let mut h = domain.handle();
-                    for i in 0..2_000u64 {
-                        h.enter();
-                        let node = h.alloc(t * 10_000 + i);
-                        // SAFETY: the node is thread-local until retired.
-                        unsafe { h.retire(node) };
-                        h.leave();
-                    }
-                });
-            }
-        });
-        assert!(domain.stats().balanced());
-        assert_eq!(domain.stats().allocated(), domain.stats().freed());
+        t::stress::<D>(
+            t::SmrConfig {
+                batch_min: 8,
+                ..t::cfg()
+            },
+            8,
+            2_000,
+        );
     }
-
     #[test]
-    fn recycling_reuses_memory_and_stays_balanced() {
-        let domain = &Hyaline::<u64>::with_config(SmrConfig {
-            slots: 2,
-            batch_min: 3,
-            recycle: true,
-            recycle_capacity: 1024,
-            recycle_magazine: 8,
-            ..SmrConfig::default()
-        });
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                s.spawn(move || {
-                    let mut h = domain.handle();
-                    for i in 0..2_000u64 {
-                        h.enter();
-                        let node = h.alloc(t * 10_000 + i);
-                        // SAFETY: the node is thread-local until retired.
-                        unsafe { h.retire(node) };
-                        h.leave();
-                    }
-                });
-            }
-        });
-        // Logical accounting is untouched by recycling...
-        assert!(domain.stats().balanced());
-        assert_eq!(domain.stats().allocated(), domain.stats().freed());
-        // ...while the allocator fast path actually engaged.
-        assert!(domain.stats().recycled() > 0, "reclaim fed the pool");
-        assert!(domain.stats().pool_hits() > 0, "alloc drew from the pool");
+    fn trim_reclaims_without_leaving() {
+        t::trim_reclaims_mid_operation::<D>();
     }
-
     #[test]
-    fn payload_drops_exactly_once() {
-        use std::sync::atomic::AtomicI64;
-        static LIVE: AtomicI64 = AtomicI64::new(0);
-        struct Tracked;
-        impl Tracked {
-            fn new() -> Self {
-                LIVE.fetch_add(1, Ordering::Relaxed);
-                Tracked
-            }
-        }
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                let prev = LIVE.fetch_sub(1, Ordering::Relaxed);
-                assert!(prev > 0, "double drop detected");
-            }
-        }
-
-        let domain = &Hyaline::<Tracked>::with_config(SmrConfig {
-            slots: 2,
-            batch_min: 3,
-            ..SmrConfig::default()
-        });
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(move || {
-                    let mut h = domain.handle();
-                    for _ in 0..1_000 {
-                        h.enter();
-                        let node = h.alloc(Tracked::new());
-                        // SAFETY: the node is thread-local until retired.
-                        unsafe { h.retire(node) };
-                        h.leave();
-                    }
-                });
-            }
-        });
-        assert_eq!(LIVE.load(Ordering::Relaxed), 0, "payload leak or double drop");
-        assert!(domain.stats().balanced());
+    fn protect_is_plain_load() {
+        t::protect_is_plain_load();
+    }
+    #[test]
+    fn concurrent_stalled_reader_blocks_then_releases() {
+        t::reader_pins_batches_until_leave::<D>();
     }
 }

@@ -1,32 +1,13 @@
-//! Hyaline-1: the single-width-CAS specialization (Figure 4 of the paper).
-//!
-//! Every thread owns a dedicated slot, so the slot's `HRef` degenerates to a
-//! single bit merged into the head pointer. `enter` and `leave` become
-//! wait-free (a plain store and a swap); `retire` counts how many slots a
-//! batch was inserted into (`Inserts`) instead of performing the `Adjs`
-//! wrap-around accounting.
+//! Hyaline-1 (Figure 4): the [`Domain`] over owned slots, without eras.
 
-use crossbeam_utils::CachePadded;
-use smr_core::{
-    Atomic, LocalStats, Magazine, NodePool, Shared, Smr, SmrConfig, SmrHandle, SmrNode, SmrStats,
-};
-use std::marker::PhantomData;
-use std::ptr;
-use std::sync::atomic::Ordering;
+use crate::core::{Domain, Handle, OwnedSlots};
 
-use crate::batch::{
-    adjust_refs, chain_next, decrement, free_batch_into, header, FinalizedBatch, LocalBatch,
-    W_NEXT,
-};
-use crate::head::{AtomicHead1, Head1Word};
-use smr_core::SlotRegistry;
-
-/// The Hyaline-1 reclamation domain (Figure 4).
+/// Hyaline-1 (Figure 4): owned single-width slots, no eras.
 ///
-/// Hyaline-1 works with single-width CAS on any architecture and makes
-/// `enter`/`leave` wait-free, at the cost of requiring one slot per live
-/// handle (threads register by claiming a slot, so it is *almost*
-/// transparent — the paper's Table 1).
+/// It works with single-width CAS on any architecture and makes
+/// `enter`/`leave` wait-free, at the cost of one slot per live handle:
+/// threads register by claiming a slot, so it is *almost* transparent (the
+/// paper's Table 1).
 ///
 /// # Example
 ///
@@ -41,514 +22,50 @@ use smr_core::SlotRegistry;
 /// unsafe { h.retire(node) };
 /// h.leave();
 /// ```
-pub struct Hyaline1<T: Send + 'static> {
-    slots: Box<[CachePadded<AtomicHead1>]>,
-    registry: SlotRegistry,
-    batch_min: usize,
-    stats: SmrStats,
-    pool: NodePool,
-    _marker: PhantomData<fn(T) -> T>,
-}
-
-impl<T: Send + 'static> std::fmt::Debug for Hyaline1<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hyaline1")
-            .field("capacity", &self.slots.len())
-            .field("registered", &self.registry.claimed())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> Smr<T> for Hyaline1<T> {
-    type Handle<'d> = Hyaline1Handle<'d, T>;
-
-    fn with_config(config: SmrConfig) -> Self {
-        let capacity = config.max_threads;
-        Self {
-            slots: (0..capacity)
-                .map(|_| CachePadded::new(AtomicHead1::new()))
-                .collect(),
-            registry: SlotRegistry::new(capacity),
-            batch_min: config.batch_min,
-            stats: SmrStats::new(),
-            pool: NodePool::for_node::<T>(&config),
-            _marker: PhantomData,
-        }
-    }
-
-    fn handle(&self) -> Hyaline1Handle<'_, T> {
-        Hyaline1Handle {
-            slot: self.registry.claim(),
-            domain: self,
-            handle: ptr::null_mut(),
-            active: false,
-            batch: LocalBatch::new(),
-            reap: Vec::new(),
-            local_stats: LocalStats::new(),
-            mag: self.pool.magazine(),
-        }
-    }
-
-    fn stats(&self) -> &SmrStats {
-        &self.stats
-    }
-
-    fn name() -> &'static str {
-        "Hyaline-1"
-    }
-
-    fn robust() -> bool {
-        false
-    }
-
-    fn supports_trim() -> bool {
-        true
-    }
-
-    fn shardable_by_pointer() -> bool {
-        // Like plain Hyaline: enter-scoped slot ownership, plain-load
-        // protect, no alloc-time metadata.
-        true
-    }
-}
-
-impl<T: Send + 'static> Drop for Hyaline1<T> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            debug_assert_eq!(
-                slot.load(Ordering::Acquire),
-                Head1Word::EMPTY,
-                "Hyaline-1 domain dropped with a non-empty slot"
-            );
-        }
-    }
-}
+pub type Hyaline1<T> = Domain<T, OwnedSlots, false>;
 
 /// Per-thread handle to a [`Hyaline1`] domain; owns one slot.
-pub struct Hyaline1Handle<'d, T: Send + 'static> {
-    domain: &'d Hyaline1<T>,
-    slot: usize,
-    handle: *mut SmrNode<T>,
-    active: bool,
-    batch: LocalBatch<T>,
-    reap: Vec<*mut SmrNode<T>>,
-    local_stats: LocalStats,
-    mag: Magazine,
-}
-
-// SAFETY: owned raw node pointers (local batch, reap list, slot head
-// snapshot) and a `Sync` domain borrow; no thread-affine state, so the
-// handle may be parked and re-issued to another task.
-unsafe impl<T: Send + 'static> Send for Hyaline1Handle<'_, T> {}
-
-impl<T: Send + 'static> std::fmt::Debug for Hyaline1Handle<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hyaline1Handle")
-            .field("slot", &self.slot)
-            .field("active", &self.active)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> Hyaline1Handle<'_, T> {
-    /// The dedicated slot owned by this handle.
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
-    /// Decrements every batch from `next` down to (and including) the handle
-    /// node. Unlike the multi-list variant, `leave` passes the detached list
-    /// head itself: the slot owner holds exactly one reference to every node
-    /// in its list.
-    ///
-    /// # Safety
-    ///
-    /// `next` must be a node this slot's reference still pins (the detached
-    /// head, or a `Next` link read while inside the operation); every node
-    /// on the sublist stays live until its decrement below.
-    unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>) {
-        let handle = self.handle;
-        loop {
-            let curr = next;
-            if curr.is_null() {
-                break;
-            }
-            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
-            decrement(curr, &mut self.reap);
-            if curr == handle {
-                break;
-            }
-        }
-    }
-
-    /// Figure 4's `retire`: push the batch to every *active* slot, counting
-    /// insertions, then adjust `NRef` by the count.
-    ///
-    /// # Safety
-    ///
-    /// `fin` must come from this handle's own `LocalBatch::finalize` and be
-    /// unpublished: no other thread may have seen any chain node yet.
-    unsafe fn insert_batch(&mut self, mut fin: FinalizedBatch<T>) {
-        let domain = self.domain;
-        let mut insert_node = fin.chain_head;
-        // Once the chain is exhausted (more active slots than insertion
-        // nodes, e.g. a dummy-padded partial batch at flush time), every
-        // remaining slot gets a *fresh* dummy. A chain node that is already
-        // linked into one slot's list must never be pushed onto a second
-        // list: its `Next` word is the first list's link, and overwriting it
-        // corrupts that list.
-        let mut spare: *mut SmrNode<T> = ptr::null_mut();
-        let mut inserts: usize = 0;
-        for idx in domain.registry.iter_claimed() {
-            let slot = &domain.slots[idx];
-            loop {
-                let head = slot.load(Ordering::Acquire);
-                if !head.active() {
-                    break;
-                }
-                let node = if insert_node != fin.refs_node {
-                    insert_node
-                } else {
-                    if spare.is_null() {
-                        spare = fin.extend_with_dummy();
-                        self.local_stats.on_alloc(&domain.stats);
-                        self.local_stats.on_retire(&domain.stats);
-                    }
-                    spare
-                };
-                header(node)
-                    .word(W_NEXT)
-                    .store(head.ptr::<SmrNode<T>>() as usize, Ordering::Relaxed);
-                let new = Head1Word::pack(true, node);
-                if slot
-                    .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    inserts += 1; // replaces REF #2#
-                    if node == insert_node {
-                        insert_node = chain_next(insert_node);
-                    } else {
-                        spare = ptr::null_mut(); // dummy consumed
-                    }
-                    break;
-                }
-            }
-        }
-        // Replaces REF #3#: one adjustment by the number of insertions. If
-        // no slot was active, `inserts == 0` frees the batch immediately.
-        adjust_refs(fin.refs_node, inserts, &mut self.reap);
-    }
-
-    fn finalize_partial(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        // At least two nodes (REFS + one insertion candidate); the insert
-        // loop extends on demand if more slots are active.
-        let domain = self.domain;
-        while self.batch.count() < 2 {
-            // SAFETY: dummy nodes have no payload; the pool hands out fresh
-            // or recycled exclusively-owned memory either way.
-            let dummy = unsafe { domain.pool.alloc_dummy::<T>(&mut self.mag, &domain.stats) };
-            self.local_stats.on_alloc(&domain.stats);
-            self.local_stats.on_retire(&domain.stats);
-            // SAFETY: `dummy` is exclusively owned until pushed.
-            unsafe { self.batch.push(dummy.as_ptr(), u64::MAX, false) };
-        }
-        // SAFETY: all batch nodes are owned by this handle and unpublished.
-        let fin = unsafe { self.batch.finalize(0) };
-        // SAFETY: `fin` is this handle's own freshly finalized batch.
-        unsafe { self.insert_batch(fin) };
-    }
-
-    fn drain(&mut self) {
-        if self.reap.is_empty() {
-            return;
-        }
-        let domain = self.domain;
-        let mut freed = 0;
-        for refs in std::mem::take(&mut self.reap) {
-            // SAFETY: a REFS node enters `reap` only when its batch's NRef
-            // crossed zero, so no thread can still reference the batch.
-            freed += unsafe { free_batch_into(refs, &domain.pool, &mut self.mag, &domain.stats) };
-        }
-        self.local_stats.on_free(&domain.stats, freed);
-    }
-}
-
-impl<T: Send + 'static> SmrHandle<T> for Hyaline1Handle<'_, T> {
-    fn enter(&mut self) {
-        debug_assert!(!self.active, "enter while already inside an operation");
-        self.domain.slots[self.slot].enter();
-        self.handle = ptr::null_mut();
-        self.active = true;
-    }
-
-    fn leave(&mut self) {
-        debug_assert!(self.active, "leave without a matching enter");
-        self.active = false;
-        let old = self.domain.slots[self.slot].leave();
-        let head: *mut SmrNode<T> = old.ptr();
-        if !head.is_null() {
-            // SAFETY: `leave` detached the list; its nodes stay live until
-            // this traversal applies our decrement to each batch.
-            unsafe { self.traverse(head) };
-        }
-        self.handle = ptr::null_mut();
-        self.drain();
-    }
-
-    fn trim(&mut self) {
-        debug_assert!(self.active, "trim outside an operation");
-        let head = self.domain.slots[self.slot].load(Ordering::Acquire);
-        let curr: *mut SmrNode<T> = head.ptr();
-        if curr != self.handle {
-            debug_assert!(!curr.is_null());
-            // SAFETY: we are still inside the operation, so the head and its
-            // sublist are pinned by our slot's active reference.
-            let next =
-                unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) } as *mut SmrNode<T>;
-            // SAFETY: as above — the sublist is pinned until traversed.
-            unsafe { self.traverse(next) };
-            self.handle = curr;
-        }
-        self.drain();
-    }
-
-    fn alloc(&mut self, value: T) -> Shared<T> {
-        let domain = self.domain;
-        self.local_stats.on_alloc(&domain.stats);
-        Shared::from_node(domain.pool.alloc(&mut self.mag, &domain.stats, value))
-    }
-
-    // SAFETY: per the `SmrHandle::dealloc` contract the node was never
-    // published, so this thread owns it outright and may free it in place.
-    unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        let domain = self.domain;
-        self.local_stats.on_dealloc(&domain.stats);
-        domain.pool.dispose(&mut self.mag, &domain.stats, ptr.as_node_ptr(), true);
-    }
-
-    fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
-        src.load(Ordering::Acquire)
-    }
-
-    // SAFETY: per the `SmrHandle::retire` contract the node is unlinked from
-    // every shared structure, so batching it for deferred free is sound.
-    unsafe fn retire(&mut self, ptr: Shared<T>) {
-        debug_assert!(self.active, "retire outside an operation");
-        self.local_stats.on_retire(&self.domain.stats);
-        self.batch.push(ptr.as_node_ptr(), 0, true);
-        let target = self
-            .domain
-            .batch_min
-            .max(self.domain.registry.claimed() + 1);
-        if self.batch.count() >= target {
-            let fin = self.batch.finalize(0);
-            self.insert_batch(fin);
-            self.drain();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.finalize_partial();
-        self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-    }
-}
-
-impl<T: Send + 'static> Drop for Hyaline1Handle<'_, T> {
-    fn drop(&mut self) {
-        if self.active {
-            self.leave();
-        }
-        self.finalize_partial();
-        self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-        domain.registry.release(self.slot);
-    }
-}
+pub type Hyaline1Handle<'d, T> = Handle<'d, T, OwnedSlots, false>;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn small_domain() -> Hyaline1<u64> {
-        Hyaline1::with_config(SmrConfig {
-            batch_min: 4,
-            max_threads: 16,
-            ..SmrConfig::default()
-        })
-    }
+    use crate::core::tests as t;
+    type D = crate::Hyaline1<u64>;
+    crate::core::tests::shared_bodies!(Hyaline1);
 
     #[test]
     fn single_thread_reclaims_everything() {
-        let domain = small_domain();
-        {
-            let mut h = domain.handle();
-            for i in 0..100u64 {
-                h.enter();
-                let node = h.alloc(i);
-                // SAFETY: `node` was never published; no other reference exists.
-                unsafe { h.retire(node) };
-                h.leave();
-            }
-        }
-        assert!(domain.stats().balanced());
-        assert_eq!(domain.stats().allocated(), domain.stats().freed());
+        t::single_thread_reclaims::<D>();
     }
-
-    #[test]
-    fn handles_own_distinct_slots() {
-        let domain = small_domain();
-        let h1 = domain.handle();
-        let h2 = domain.handle();
-        assert_ne!(h1.slot(), h2.slot());
-        drop(h1);
-        let h3 = domain.handle();
-        // The released slot is reused.
-        assert_eq!(h3.slot(), 0);
-        drop(h2);
-        drop(h3);
-    }
-
-    #[test]
-    fn reader_pins_batches_until_leave() {
-        let domain = &small_domain();
-        let entered = &std::sync::Barrier::new(2);
-        let retired = &std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut reader = domain.handle();
-                reader.enter();
-                entered.wait();
-                retired.wait();
-                // While inside, batches inserted into our slot are pinned.
-                let pinned = domain.stats().unreclaimed();
-                assert!(pinned > 0, "expected pinned batches, got {pinned}");
-                reader.leave();
-            });
-            let mut writer = domain.handle();
-            entered.wait();
-            for i in 0..64u64 {
-                writer.enter();
-                let node = writer.alloc(i);
-                // SAFETY: `node` was never published; no other reference exists.
-                unsafe { writer.retire(node) };
-                writer.leave();
-            }
-            writer.flush();
-            retired.wait();
-        });
-        assert!(domain.stats().balanced());
-        assert_eq!(domain.stats().allocated(), domain.stats().freed());
-    }
-
-    #[test]
-    fn trim_reclaims_mid_operation() {
-        let domain = &Hyaline1::<u64>::with_config(SmrConfig {
-            batch_min: 2,
-            max_threads: 4,
-            ..SmrConfig::default()
-        });
-        let mut h = domain.handle();
-        h.enter();
-        for i in 0..16u64 {
-            let node = h.alloc(i);
-            // SAFETY: `node` was never published; no other reference exists.
-            unsafe { h.retire(node) };
-        }
-        h.flush();
-        let before = domain.stats().freed();
-        h.trim();
-        assert!(domain.stats().freed() > before);
-        h.leave();
-        drop(h);
-        assert!(domain.stats().balanced());
-    }
-
     #[test]
     fn oversubscribed_stress() {
-        let domain = &Hyaline1::<u64>::with_config(SmrConfig {
-            batch_min: 8,
-            max_threads: 32,
-            ..SmrConfig::default()
-        });
-        std::thread::scope(|s| {
-            for t in 0..12 {
-                s.spawn(move || {
-                    let mut h = domain.handle();
-                    for i in 0..1_500u64 {
-                        h.enter();
-                        let node = h.alloc(t * 100_000 + i);
-                        // SAFETY: the node is thread-local until retired.
-                        unsafe { h.retire(node) };
-                        h.leave();
-                    }
-                });
-            }
-        });
-        assert!(domain.stats().balanced());
-        assert_eq!(domain.stats().allocated(), domain.stats().freed());
+        t::stress::<D>(
+            t::SmrConfig {
+                batch_min: 8,
+                ..t::cfg()
+            },
+            12,
+            1_500,
+        );
     }
-
+    #[test]
+    fn trim_reclaims_mid_operation() {
+        t::trim_reclaims_mid_operation::<D>();
+    }
+    #[test]
+    fn handles_own_distinct_slots() {
+        t::handles_own_distinct_slots();
+    }
+    #[test]
+    fn reader_pins_batches_until_leave() {
+        t::reader_pins_batches_until_leave::<D>();
+    }
     #[test]
     fn partial_batch_flush_with_many_active_slots() {
-        // Regression test: a partial batch (2 nodes after dummy padding)
-        // flushed while more than 2 slots are active must extend with a
-        // fresh dummy *per slot* — re-inserting a chain node into a second
-        // slot list corrupts the first list.
-        let domain = &Hyaline1::<u64>::with_config(SmrConfig {
-            batch_min: 64, // never filled during the test: flush is partial
-            max_threads: 16,
-            ..SmrConfig::default()
-        });
-        let readers = 6;
-        let inside = &std::sync::Barrier::new(readers + 1);
-        let flushed = &std::sync::Barrier::new(readers + 1);
-        std::thread::scope(|s| {
-            for _ in 0..readers {
-                s.spawn(move || {
-                    let mut h = domain.handle();
-                    h.enter(); // slot active: the flusher must cover us
-                    inside.wait();
-                    flushed.wait();
-                    h.leave(); // traverses whatever the flusher inserted
-                });
-            }
-            let mut w = domain.handle();
-            inside.wait();
-            w.enter();
-            let node = w.alloc(7);
-            // SAFETY: `node` was never published; no other reference exists.
-            unsafe { w.retire(node) };
-            w.leave();
-            w.flush(); // 1 real node + dummies, inserted into 6+ active slots
-            flushed.wait();
-        });
-        assert!(domain.stats().balanced());
-        assert_eq!(domain.stats().allocated(), domain.stats().freed());
+        t::partial_batch_flush_with_many_active_slots();
     }
-
     #[test]
     fn churn_of_handles_is_transparent() {
-        // Threads (handles) created and destroyed dynamically, with retired
-        // nodes in flight: dropped handles must leave nothing on the hook.
-        let domain = &small_domain();
-        for round in 0..50u64 {
-            let mut h = domain.handle();
-            h.enter();
-            let node = h.alloc(round);
-            // SAFETY: `node` was never published; no other reference exists.
-            unsafe { h.retire(node) };
-            h.leave();
-            drop(h); // finalizes the partial batch with dummies
-        }
-        assert!(domain.stats().balanced());
-        assert_eq!(domain.stats().allocated(), domain.stats().freed());
+        t::churn_of_handles_is_transparent::<D>();
     }
 }

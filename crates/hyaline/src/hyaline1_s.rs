@@ -1,44 +1,15 @@
-//! Hyaline-1S: the robust single-width-CAS variant.
-//!
-//! Combines Hyaline-1's per-thread slots (Figure 4) with Hyaline-S's birth
-//! eras (Figure 5). Because each slot has exactly one owner, `touch` is an
-//! ordinary memory write and no `Ack` bookkeeping is needed — a stalled
-//! thread only makes its *own* slot stale, and retirement skips it by the
-//! era check, so the scheme is fully robust.
+//! Hyaline-1S (Figures 4 and 5): the [`Domain`] over owned slots, with
+//! eras.
 
-use crossbeam_utils::CachePadded;
-use smr_core::{
-    Atomic, EraClock, LocalStats, Magazine, NodePool, Shared, Smr, SmrConfig, SmrHandle, SmrNode,
-    SmrStats,
-};
-use std::marker::PhantomData;
-use std::ptr;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use crate::core::{Domain, Handle, OwnedSlots};
 
-use crate::batch::{
-    adjust_refs, chain_next, decrement, free_batch_into, header, FinalizedBatch, LocalBatch,
-    W_NEXT,
-};
-use crate::head::{AtomicHead1, Head1Word};
-use smr_core::SlotRegistry;
-
-/// One Hyaline-1S slot: the owner's head plus its access era.
-#[derive(Debug)]
-struct Slot1S {
-    head: AtomicHead1,
-    access: AtomicU64,
-}
-
-impl Slot1S {
-    fn new() -> Self {
-        Self {
-            head: AtomicHead1::new(),
-            access: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The robust Hyaline-1S reclamation domain.
+/// Hyaline-1S: owned single-width slots (Figure 4) with birth and access
+/// eras (Figure 5).
+///
+/// Each slot has exactly one owner, so `touch` is an ordinary memory write
+/// and no `Ack` bookkeeping is needed: a stalled thread only makes its
+/// *own* slot stale, and retirement skips it by the era check, so the
+/// scheme is fully robust.
 ///
 /// # Example
 ///
@@ -53,492 +24,35 @@ impl Slot1S {
 /// unsafe { h.retire(node) };
 /// h.leave();
 /// ```
-pub struct Hyaline1S<T: Send + 'static> {
-    slots: Box<[CachePadded<Slot1S>]>,
-    registry: SlotRegistry,
-    era: EraClock,
-    era_freq: u64,
-    batch_min: usize,
-    stats: SmrStats,
-    pool: NodePool,
-    _marker: PhantomData<fn(T) -> T>,
-}
-
-impl<T: Send + 'static> std::fmt::Debug for Hyaline1S<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hyaline1S")
-            .field("capacity", &self.slots.len())
-            .field("registered", &self.registry.claimed())
-            .field("era", &self.era.current())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> Smr<T> for Hyaline1S<T> {
-    type Handle<'d> = Hyaline1SHandle<'d, T>;
-
-    fn with_config(config: SmrConfig) -> Self {
-        let capacity = config.max_threads;
-        Self {
-            slots: (0..capacity)
-                .map(|_| CachePadded::new(Slot1S::new()))
-                .collect(),
-            registry: SlotRegistry::new(capacity),
-            era: EraClock::new(),
-            era_freq: config.era_freq,
-            batch_min: config.batch_min,
-            stats: SmrStats::new(),
-            pool: NodePool::for_node::<T>(&config),
-            _marker: PhantomData,
-        }
-    }
-
-    fn handle(&self) -> Hyaline1SHandle<'_, T> {
-        Hyaline1SHandle {
-            slot: self.registry.claim(),
-            domain: self,
-            handle: ptr::null_mut(),
-            active: false,
-            batch: LocalBatch::new(),
-            reap: Vec::new(),
-            local_stats: LocalStats::new(),
-            alloc_counter: 0,
-            access_cache: 0,
-            mag: self.pool.magazine(),
-        }
-    }
-
-    fn stats(&self) -> &SmrStats {
-        &self.stats
-    }
-
-    fn name() -> &'static str {
-        "Hyaline-1S"
-    }
-
-    fn robust() -> bool {
-        true
-    }
-
-    fn supports_trim() -> bool {
-        true
-    }
-
-    fn needs_seek_validation() -> bool {
-        // Same reasoning as Hyaline-S: era-skipped batches are not covered
-        // by a later deref, so traversals must re-validate reachability.
-        true
-    }
-}
-
-impl<T: Send + 'static> Drop for Hyaline1S<T> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            debug_assert_eq!(
-                slot.head.load(Ordering::Acquire),
-                Head1Word::EMPTY,
-                "Hyaline-1S domain dropped with a non-empty slot"
-            );
-        }
-    }
-}
+pub type Hyaline1S<T> = Domain<T, OwnedSlots, true>;
 
 /// Per-thread handle to a [`Hyaline1S`] domain; owns one slot.
-pub struct Hyaline1SHandle<'d, T: Send + 'static> {
-    domain: &'d Hyaline1S<T>,
-    slot: usize,
-    handle: *mut SmrNode<T>,
-    active: bool,
-    batch: LocalBatch<T>,
-    reap: Vec<*mut SmrNode<T>>,
-    local_stats: LocalStats,
-    alloc_counter: u64,
-    /// Cached copy of our slot's access era — valid because this handle is
-    /// the only writer ("Hyaline-1S: touch is an ordinary memory write").
-    access_cache: u64,
-    mag: Magazine,
-}
-
-// SAFETY: owned raw node pointers (local batch, reap list, slot head
-// snapshot) plus plain counters and a `Sync` domain borrow; the cached
-// access era is valid from any thread because this handle remains the
-// slot's only writer wherever it runs. Nothing is thread-affine.
-unsafe impl<T: Send + 'static> Send for Hyaline1SHandle<'_, T> {}
-
-impl<T: Send + 'static> std::fmt::Debug for Hyaline1SHandle<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hyaline1SHandle")
-            .field("slot", &self.slot)
-            .field("active", &self.active)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> Hyaline1SHandle<'_, T> {
-    /// The dedicated slot owned by this handle.
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
-    /// Decrements every batch from `next` down to (and including) the handle
-    /// node (the Figure 4 single-list traversal).
-    ///
-    /// # Safety
-    ///
-    /// `next` must be a node this slot's reference still pins (the detached
-    /// head, or a `Next` link read while inside the operation); every node
-    /// on the sublist stays live until its decrement below.
-    unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>) {
-        let handle = self.handle;
-        loop {
-            let curr = next;
-            if curr.is_null() {
-                break;
-            }
-            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
-            decrement(curr, &mut self.reap);
-            if curr == handle {
-                break;
-            }
-        }
-    }
-
-    /// Insert into every slot that is active *and* era-fresh enough to
-    /// possibly reference the batch; count insertions (Figure 4 + Figure 5).
-    ///
-    /// # Safety
-    ///
-    /// `fin` must come from this handle's own `LocalBatch::finalize` and be
-    /// unpublished: no other thread may have seen any chain node yet.
-    unsafe fn insert_batch(&mut self, mut fin: FinalizedBatch<T>) {
-        let domain = self.domain;
-        fence(Ordering::SeqCst);
-        let mut insert_node = fin.chain_head;
-        // See `Hyaline1Handle::insert_batch`: once the chain is exhausted,
-        // remaining slots each take a fresh dummy; a node already linked
-        // into one slot list must never be pushed onto a second one.
-        let mut spare: *mut SmrNode<T> = ptr::null_mut();
-        let mut inserts: usize = 0;
-        for idx in domain.registry.iter_claimed() {
-            let slot = &domain.slots[idx];
-            loop {
-                let head = slot.head.load(Ordering::Acquire);
-                let access = slot.access.load(Ordering::SeqCst);
-                if !head.active() || access < fin.min_birth {
-                    break;
-                }
-                let node = if insert_node != fin.refs_node {
-                    insert_node
-                } else {
-                    if spare.is_null() {
-                        spare = fin.extend_with_dummy();
-                        self.local_stats.on_alloc(&domain.stats);
-                        self.local_stats.on_retire(&domain.stats);
-                    }
-                    spare
-                };
-                header(node)
-                    .word(W_NEXT)
-                    .store(head.ptr::<SmrNode<T>>() as usize, Ordering::Relaxed);
-                let new = Head1Word::pack(true, node);
-                if slot
-                    .head
-                    .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    inserts += 1;
-                    if node == insert_node {
-                        insert_node = chain_next(insert_node);
-                    } else {
-                        spare = ptr::null_mut(); // dummy consumed
-                    }
-                    break;
-                }
-            }
-        }
-        adjust_refs(fin.refs_node, inserts, &mut self.reap);
-    }
-
-    fn finalize_partial(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let domain = self.domain;
-        while self.batch.count() < 2 {
-            // SAFETY: dummy nodes have no payload; the pool hands out fresh
-            // or recycled exclusively-owned memory either way.
-            let dummy = unsafe { domain.pool.alloc_dummy::<T>(&mut self.mag, &domain.stats) };
-            self.local_stats.on_alloc(&domain.stats);
-            self.local_stats.on_retire(&domain.stats);
-            // SAFETY: `dummy` is exclusively owned until pushed.
-            unsafe { self.batch.push(dummy.as_ptr(), u64::MAX, false) };
-        }
-        // SAFETY: all batch nodes are owned by this handle and unpublished.
-        let fin = unsafe { self.batch.finalize(0) };
-        // SAFETY: `fin` is this handle's own freshly finalized batch.
-        unsafe { self.insert_batch(fin) };
-    }
-
-    fn drain(&mut self) {
-        if self.reap.is_empty() {
-            return;
-        }
-        let domain = self.domain;
-        let mut freed = 0;
-        for refs in std::mem::take(&mut self.reap) {
-            // SAFETY: a REFS node enters `reap` only when its batch's NRef
-            // crossed zero, so no thread can still reference the batch.
-            freed += unsafe { free_batch_into(refs, &domain.pool, &mut self.mag, &domain.stats) };
-        }
-        self.local_stats.on_free(&domain.stats, freed);
-    }
-}
-
-impl<T: Send + 'static> SmrHandle<T> for Hyaline1SHandle<'_, T> {
-    fn enter(&mut self) {
-        debug_assert!(!self.active, "enter while already inside an operation");
-        self.domain.slots[self.slot].head.enter();
-        self.handle = ptr::null_mut();
-        self.active = true;
-    }
-
-    fn leave(&mut self) {
-        debug_assert!(self.active, "leave without a matching enter");
-        self.active = false;
-        let old = self.domain.slots[self.slot].head.leave();
-        let head: *mut SmrNode<T> = old.ptr();
-        if !head.is_null() {
-            // SAFETY: `leave` detached the list; its nodes stay live until
-            // this traversal applies our decrement to each batch.
-            unsafe { self.traverse(head) };
-        }
-        self.handle = ptr::null_mut();
-        self.drain();
-    }
-
-    fn trim(&mut self) {
-        debug_assert!(self.active, "trim outside an operation");
-        let head = self.domain.slots[self.slot].head.load(Ordering::Acquire);
-        let curr: *mut SmrNode<T> = head.ptr();
-        if curr != self.handle {
-            debug_assert!(!curr.is_null());
-            // SAFETY: we are still inside the operation, so the head and its
-            // sublist are pinned by our slot's active reference.
-            let next =
-                unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) } as *mut SmrNode<T>;
-            // SAFETY: as above — the sublist is pinned until traversed.
-            unsafe { self.traverse(next) };
-            self.handle = curr;
-        }
-        self.drain();
-    }
-
-    fn alloc(&mut self, value: T) -> Shared<T> {
-        let domain = self.domain;
-        self.alloc_counter += 1;
-        if self.alloc_counter.is_multiple_of(domain.era_freq) {
-            domain.era.advance();
-        }
-        self.local_stats.on_alloc(&domain.stats);
-        let node = domain.pool.alloc(&mut self.mag, &domain.stats, value);
-        // SAFETY: `node` is a fresh, unshared allocation; stamping its birth
-        // era in the header word races with nobody.
-        unsafe {
-            (*node.as_ptr())
-                .header()
-                .word(W_NEXT)
-                .store(domain.era.current() as usize, Ordering::Relaxed);
-        }
-        Shared::from_node(node)
-    }
-
-    // SAFETY: per the `SmrHandle::dealloc` contract the node was never
-    // published, so this thread owns it outright and may free it in place.
-    unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        let domain = self.domain;
-        self.local_stats.on_dealloc(&domain.stats);
-        domain.pool.dispose(&mut self.mag, &domain.stats, ptr.as_node_ptr(), true);
-    }
-
-    fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
-        let domain = self.domain;
-        let slot = &domain.slots[self.slot];
-        loop {
-            let node = src.load(Ordering::Acquire);
-            let alloc = domain.era.current();
-            if self.access_cache == alloc {
-                return node;
-            }
-            // Sole owner: an ordinary store replaces the CAS-max `touch`.
-            slot.access.store(alloc, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            self.access_cache = alloc;
-        }
-    }
-
-    // SAFETY: per the `SmrHandle::retire` contract the node is unlinked from
-    // every shared structure, so batching it for deferred free is sound.
-    unsafe fn retire(&mut self, ptr: Shared<T>) {
-        debug_assert!(self.active, "retire outside an operation");
-        let domain = self.domain;
-        let node = ptr.as_node_ptr();
-        let birth = header(node).word(W_NEXT).load(Ordering::Relaxed) as u64;
-        self.local_stats.on_retire(&domain.stats);
-        self.batch.push(node, birth, true);
-        let target = domain.batch_min.max(domain.registry.claimed() + 1);
-        if self.batch.count() >= target {
-            let fin = self.batch.finalize(0);
-            self.insert_batch(fin);
-            self.drain();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.finalize_partial();
-        self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-    }
-}
-
-impl<T: Send + 'static> Drop for Hyaline1SHandle<'_, T> {
-    fn drop(&mut self) {
-        if self.active {
-            self.leave();
-        }
-        self.finalize_partial();
-        self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-        domain.registry.release(self.slot);
-    }
-}
+pub type Hyaline1SHandle<'d, T> = Handle<'d, T, OwnedSlots, true>;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn small_domain() -> Hyaline1S<u64> {
-        Hyaline1S::with_config(SmrConfig {
-            batch_min: 4,
-            era_freq: 4,
-            max_threads: 32,
-            ..SmrConfig::default()
-        })
-    }
+    use crate::core::tests as t;
+    type D = crate::Hyaline1S<u64>;
+    crate::core::tests::shared_bodies!(Hyaline1S);
 
     #[test]
     fn single_thread_reclaims_everything() {
-        let d = small_domain();
-        {
-            let mut h = d.handle();
-            for i in 0..200u64 {
-                h.enter();
-                let node = h.alloc(i);
-                // SAFETY: `node` was never published; no other reference exists.
-                unsafe { h.retire(node) };
-                h.leave();
-            }
-        }
-        assert!(d.stats().balanced());
-        assert_eq!(d.stats().allocated(), d.stats().freed());
+        t::single_thread_reclaims::<D>();
     }
-
-    #[test]
-    fn stalled_thread_is_skipped_by_era() {
-        let d = &small_domain();
-        let entered = &std::sync::Barrier::new(2);
-        let done = &std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut stalled = d.handle();
-                stalled.enter();
-                entered.wait();
-                done.wait();
-                stalled.leave();
-            });
-            entered.wait();
-            let mut worker = d.handle();
-            for i in 0..10_000u64 {
-                worker.enter();
-                let node = worker.alloc(i);
-                // SAFETY: `node` was never published; no other reference exists.
-                unsafe { worker.retire(node) };
-                worker.leave();
-            }
-            worker.flush();
-            let unreclaimed = d.stats().unreclaimed();
-            assert!(
-                unreclaimed < 1_000,
-                "stalled thread pinned {unreclaimed} nodes; Hyaline-1S must be robust"
-            );
-            done.wait();
-        });
-        assert!(d.stats().balanced());
-    }
-
-    #[test]
-    fn fresh_reader_is_tracked_not_skipped() {
-        // A reader whose access era is current must pin batches it could
-        // reference; they reclaim once it leaves.
-        let d = &small_domain();
-        let published = &std::sync::Barrier::new(2);
-        let protected = &std::sync::Barrier::new(2);
-        let release = &std::sync::Barrier::new(2);
-        let link = &Atomic::<u64>::null();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut reader = d.handle();
-                reader.enter();
-                published.wait();
-                let seen = reader.protect(0, link);
-                assert!(!seen.is_null());
-                // SAFETY: `seen` came from `protect` inside the operation.
-                assert_eq!(unsafe { *seen.deref() }, 42);
-                protected.wait();
-                release.wait();
-                // SAFETY: still protected — the era reservation pins `seen`.
-                assert_eq!(unsafe { *seen.deref() }, 42);
-                reader.leave();
-            });
-            let mut writer = d.handle();
-            writer.enter();
-            let node = writer.alloc(42);
-            link.store(node, Ordering::Release);
-            published.wait();
-            protected.wait();
-            // Unlink and retire while the reader holds a protected pointer.
-            let unlinked = link.swap(Shared::null(), Ordering::AcqRel);
-            // SAFETY: the swap unlinked the node from the only shared link.
-            unsafe { writer.retire(unlinked) };
-            writer.leave();
-            writer.flush();
-            release.wait();
-        });
-        assert!(d.stats().balanced());
-        assert_eq!(d.stats().allocated(), d.stats().freed());
-    }
-
     #[test]
     fn multithreaded_stress() {
-        let d = &small_domain();
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                s.spawn(move || {
-                    let mut h = d.handle();
-                    for i in 0..2_000u64 {
-                        h.enter();
-                        let node = h.alloc(t * 1_000_000 + i);
-                        // SAFETY: the node is thread-local until retired.
-                        unsafe { h.retire(node) };
-                        h.leave();
-                    }
-                });
-            }
-        });
-        assert!(d.stats().balanced());
-        assert_eq!(d.stats().allocated(), d.stats().freed());
+        t::stress::<D>(t::cfg(), 8, 2_000);
+    }
+    #[test]
+    fn trim_reclaims_mid_operation() {
+        t::trim_reclaims_mid_operation::<D>();
+    }
+    #[test]
+    fn stalled_thread_is_skipped_by_era() {
+        t::stalled_thread_is_skipped_by_era::<D>(t::cfg());
+    }
+    #[test]
+    fn fresh_reader_is_tracked_not_skipped() {
+        t::fresh_reader_is_tracked_not_skipped::<D>();
     }
 }

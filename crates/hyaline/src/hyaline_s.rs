@@ -1,40 +1,19 @@
-//! Hyaline-S: the robust extension (Figure 5 of the paper), with the §4.3
-//! adaptive slot-resizing scheme (Figure 6).
-//!
-//! Hyaline-S partially adopts *birth eras* from HE/IBR — but, unlike them,
-//! keeps no retire eras and uses eras only to *detect stalled threads*, not
-//! to define reclamation intervals. Every allocation stamps the node with
-//! the global era clock; every guarded pointer read (`protect`) raises the
-//! calling slot's access era to the current clock; `retire` skips slots
-//! whose access era is older than the batch's minimum birth era (no thread
-//! in that slot can hold a reference to any node of the batch). Slots
-//! occupied by stalled threads accumulate un-acknowledged insertions in an
-//! `Ack` counter, and `enter` avoids slots past a threshold — growing the
-//! slot directory when everything is saturated (if `adaptive` is enabled).
+//! Hyaline-S (Figure 5): the [`Domain`] over shared slots, with eras.
 
-use smr_core::{
-    Atomic, EraClock, LocalStats, Magazine, NodePool, Shared, Smr, SmrConfig, SmrHandle, SmrNode,
-    SmrStats,
-};
-use std::marker::PhantomData;
-use std::ptr;
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use crate::core::{Domain, Handle, SharedSlots};
 
-use crate::batch::{
-    adjust_refs, adjust_slot_credit, chain_next, decrement, free_batch_into, header,
-    FinalizedBatch, LocalBatch, W_NEXT,
-};
-use crate::hyaline::adjs_for;
-use crate::registry::{SlotDirectory, SlotS};
-
-/// The robust Hyaline-S reclamation domain (Figure 5, plus Figure 6 when
-/// [`SmrConfig::adaptive`] is set).
+/// Hyaline-S (Figure 5): shared slots with birth eras, per-slot access eras
+/// and `Ack`-based stall detection, plus the §4.3 adaptive slot directory
+/// (Figure 6) when [`SmrConfig::adaptive`](smr_core::SmrConfig::adaptive) is set.
 ///
-/// With `adaptive: false` the slot count is capped at [`SmrConfig::slots`]
-/// (the paper's Figure 10a shows this configuration "running out of slots"
-/// once more stalled threads than slots exist). With `adaptive: true` the
-/// slot directory doubles whenever `enter` finds every slot saturated,
-/// making the scheme fully robust.
+/// Eras only *detect stalled threads*; they do not define reclamation
+/// intervals. `retire` skips slots whose access era is older than the
+/// batch's minimum birth era, since no thread there can hold a reference to
+/// the batch. With `adaptive: false` the slot count is capped at
+/// [`SmrConfig::slots`](smr_core::SmrConfig::slots) (Figure 10a shows this configuration "running out of
+/// slots" once more threads stall than there are slots). With
+/// `adaptive: true` the directory doubles whenever `enter` finds every slot
+/// saturated, making the scheme fully robust.
 ///
 /// # Example
 ///
@@ -53,640 +32,59 @@ use crate::registry::{SlotDirectory, SlotS};
 /// unsafe { h.retire(node) };
 /// h.leave();
 /// ```
-pub struct HyalineS<T: Send + 'static> {
-    dir: SlotDirectory,
-    era: EraClock,
-    era_freq: u64,
-    batch_min: usize,
-    ack_threshold: i64,
-    next_slot: AtomicUsize,
-    stats: SmrStats,
-    pool: NodePool,
-    _marker: PhantomData<fn(T) -> T>,
-}
-
-impl<T: Send + 'static> std::fmt::Debug for HyalineS<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HyalineS")
-            .field("dir", &self.dir)
-            .field("era", &self.era.current())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> HyalineS<T> {
-    /// The current number of slots (grows under `adaptive`).
-    pub fn slot_count(&self) -> usize {
-        self.dir.k()
-    }
-
-    /// The current global era.
-    pub fn era(&self) -> u64 {
-        self.era.current()
-    }
-
-    /// Figure 5's `touch`: raises a slot's access era to at least `era`
-    /// with a CAS-max loop (multiple threads share each slot).
-    fn touch(slot: &SlotS, era: u64) -> u64 {
-        let mut access = slot.access.load(Ordering::SeqCst);
-        while access < era {
-            match slot
-                .access
-                .compare_exchange_weak(access, era, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return era,
-                Err(now) => access = now,
-            }
-        }
-        access
-    }
-}
-
-impl<T: Send + 'static> Smr<T> for HyalineS<T> {
-    type Handle<'d> = HyalineSHandle<'d, T>;
-
-    fn with_config(config: SmrConfig) -> Self {
-        assert!(
-            config.slots.is_power_of_two(),
-            "Hyaline-S requires a power-of-two slot count"
-        );
-        let max_k = if config.adaptive {
-            // Bounded by the registry-style cap so directory growth stops at
-            // a sane power of two even under pathological stalling.
-            config.max_threads.next_power_of_two().max(config.slots)
-        } else {
-            config.slots
-        };
-        Self {
-            dir: SlotDirectory::new(config.slots, max_k),
-            era: EraClock::new(),
-            era_freq: config.era_freq,
-            batch_min: config.batch_min,
-            ack_threshold: config.ack_threshold,
-            next_slot: AtomicUsize::new(0),
-            stats: SmrStats::new(),
-            pool: NodePool::for_node::<T>(&config),
-            _marker: PhantomData,
-        }
-    }
-
-    fn handle(&self) -> HyalineSHandle<'_, T> {
-        let slot = self.next_slot.fetch_add(1, Ordering::Relaxed) % self.dir.k();
-        HyalineSHandle {
-            domain: self,
-            slot,
-            handle: ptr::null_mut(),
-            active: false,
-            batch: LocalBatch::new(),
-            reap: Vec::new(),
-            local_stats: LocalStats::new(),
-            alloc_counter: 0,
-            mag: self.pool.magazine(),
-        }
-    }
-
-    fn stats(&self) -> &SmrStats {
-        &self.stats
-    }
-
-    fn name() -> &'static str {
-        "Hyaline-S"
-    }
-
-    fn robust() -> bool {
-        true
-    }
-
-    fn supports_trim() -> bool {
-        true
-    }
-
-    fn needs_seek_validation() -> bool {
-        // A batch whose `min_birth` outruns this slot's access era skips the
-        // slot permanently; a later `deref` of one of its nodes (reachable
-        // only through an unlinked frozen region) would not be covered.
-        // Validated traversals guarantee every protected node was still
-        // reachable — and therefore unretired — when its era was certified.
-        true
-    }
-}
+pub type HyalineS<T> = Domain<T, SharedSlots, true>;
 
 /// Per-thread handle to a [`HyalineS`] domain.
-pub struct HyalineSHandle<'d, T: Send + 'static> {
-    domain: &'d HyalineS<T>,
-    slot: usize,
-    handle: *mut SmrNode<T>,
-    active: bool,
-    batch: LocalBatch<T>,
-    reap: Vec<*mut SmrNode<T>>,
-    local_stats: LocalStats,
-    alloc_counter: u64,
-    mag: Magazine,
-}
-
-// SAFETY: owned raw node pointers (local batch, reap list, slot head
-// snapshot) and a `Sync` domain borrow; no thread-affine state, so the
-// handle may be parked and re-issued to another task.
-unsafe impl<T: Send + 'static> Send for HyalineSHandle<'_, T> {}
-
-impl<T: Send + 'static> std::fmt::Debug for HyalineSHandle<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HyalineSHandle")
-            .field("slot", &self.slot)
-            .field("active", &self.active)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Send + 'static> HyalineSHandle<'_, T> {
-    /// The slot this handle last entered through (may move between
-    /// operations to avoid stalled slots).
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
-    /// Walks the retirement sublist, decrementing batch counters and
-    /// counting iterations for the `Ack` bookkeeping (Figure 5's `traverse`
-    /// counts loop iterations, including a terminating null hop — exactly
-    /// balancing the `HRef` snapshots added by `retire`).
-    ///
-    /// # Safety
-    ///
-    /// `next` must be the `Next` link of a node this thread still holds a
-    /// logical reference to (read while the slot reference was held), so
-    /// every node on the sublist is live until its decrement below.
-    unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>) -> i64 {
-        let handle = self.handle;
-        let mut count = 0i64;
-        loop {
-            let curr = next;
-            count += 1;
-            if curr.is_null() {
-                break;
-            }
-            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
-            decrement(curr, &mut self.reap);
-            if curr == handle {
-                break;
-            }
-        }
-        count
-    }
-
-    /// Figure 5's `retire`: insert into slots that are active *and* whose
-    /// access era reaches the batch's minimum birth era; acknowledge
-    /// insertions in `Ack`.
-    ///
-    /// # Safety
-    ///
-    /// `fin` must come from this handle's own `LocalBatch::finalize` with at
-    /// least `k + 1` chain nodes that no other thread has seen yet, and
-    /// `k`/`adjs` must be the values the batch was finalized against.
-    unsafe fn insert_batch(&mut self, fin: FinalizedBatch<T>, k: usize, adjs: usize) {
-        let domain = self.domain;
-        // Order the pre-retire unlinks before the access-era reads below.
-        fence(Ordering::SeqCst);
-        let mut insert_node = fin.chain_head;
-        let mut empty_adjs: usize = 0;
-        let mut any_empty = false;
-        for i in 0..k {
-            let slot = domain.dir.slot(i);
-            loop {
-                let head = slot.head.load(Ordering::Acquire);
-                let access = slot.access.load(Ordering::SeqCst);
-                if head.refs() == 0 || access < fin.min_birth {
-                    // No active thread here, or none that could have ever
-                    // dereferenced a node of this batch: skip the slot.
-                    any_empty = true;
-                    empty_adjs = empty_adjs.wrapping_add(adjs);
-                    break;
-                }
-                debug_assert!(insert_node != fin.refs_node);
-                header(insert_node)
-                    .word(W_NEXT)
-                    .store(head.ptr_bits(), Ordering::Relaxed);
-                let new = head.with_ptr(insert_node);
-                if slot
-                    .head
-                    .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    let pred: *mut SmrNode<T> = head.ptr();
-                    if !pred.is_null() {
-                        adjust_slot_credit(pred, head.refs(), &mut self.reap);
-                    }
-                    // Track un-acknowledged references for stall detection.
-                    slot.ack.fetch_add(head.refs() as i64, Ordering::Relaxed);
-                    insert_node = chain_next(insert_node);
-                    break;
-                }
-            }
-        }
-        if any_empty {
-            adjust_refs(fin.refs_node, empty_adjs, &mut self.reap);
-        }
-    }
-
-    /// Finalizes the local batch against the *current* slot count: pads
-    /// with dummies up to `k + 1` nodes if the directory grew since the
-    /// batch was sized, stores `Adjs = 2^64 / k` in the batch, and inserts.
-    ///
-    /// # Safety
-    ///
-    /// The local batch must be non-empty, with every node owned by this
-    /// handle and unpublished.
-    unsafe fn finalize_and_insert(&mut self) {
-        let domain = self.domain;
-        let k = domain.dir.k();
-        while self.batch.count() < k + 1 {
-            let dummy = domain.pool.alloc_dummy::<T>(&mut self.mag, &domain.stats);
-            self.local_stats.on_alloc(&domain.stats);
-            self.local_stats.on_retire(&domain.stats);
-            self.batch.push(dummy.as_ptr(), u64::MAX, false);
-        }
-        let adjs = adjs_for(k);
-        let fin = self.batch.finalize(adjs);
-        self.insert_batch(fin, k, adjs);
-    }
-
-    fn drain(&mut self) {
-        if self.reap.is_empty() {
-            return;
-        }
-        let domain = self.domain;
-        let mut freed = 0;
-        for refs in std::mem::take(&mut self.reap) {
-            // SAFETY: a REFS node enters `reap` only when its batch's NRef
-            // crossed zero, so no thread can still reference the batch.
-            freed += unsafe { free_batch_into(refs, &domain.pool, &mut self.mag, &domain.stats) };
-        }
-        self.local_stats.on_free(&domain.stats, freed);
-    }
-}
-
-impl<T: Send + 'static> SmrHandle<T> for HyalineSHandle<'_, T> {
-    fn enter(&mut self) {
-        debug_assert!(!self.active, "enter while already inside an operation");
-        let domain = self.domain;
-        // Stay away from slots saturated by stalled threads (Figure 5's
-        // enter loop); grow the directory when everything is saturated.
-        let mut k = domain.dir.k();
-        let mut slot = self.slot % k;
-        let mut scanned = 0;
-        let mut best = (i64::MAX, slot);
-        loop {
-            let ack = domain.dir.slot(slot).ack.load(Ordering::Relaxed);
-            if ack < domain.ack_threshold {
-                break;
-            }
-            if ack < best.0 {
-                best = (ack, slot);
-            }
-            slot = (slot + 1) % k;
-            scanned += 1;
-            if scanned >= k {
-                if domain.dir.grow() {
-                    // New slots start with Ack = 0; rescan including them.
-                    k = domain.dir.k();
-                    scanned = 0;
-                } else {
-                    // Capped (non-adaptive): settle for the least-saturated
-                    // slot — this is the regime where Figure 10a shows the
-                    // capped variant starting to interfere.
-                    slot = best.1;
-                    break;
-                }
-            }
-        }
-        self.slot = slot;
-        let old = domain.dir.slot(slot).head.enter_faa();
-        self.handle = old.ptr();
-        self.active = true;
-    }
-
-    fn leave(&mut self) {
-        debug_assert!(self.active, "leave without a matching enter");
-        self.active = false;
-        let slot = self.domain.dir.slot(self.slot);
-        let (old_head, curr, next) = loop {
-            let head = slot.head.load(Ordering::Acquire);
-            let curr: *mut SmrNode<T> = head.ptr();
-            let mut next = ptr::null_mut();
-            if curr != self.handle {
-                debug_assert!(!curr.is_null());
-                // SAFETY: a non-handle head exists only while we (an active
-                // thread) hold a reference to it, so reading its Next is safe.
-                next = unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) }
-                    as *mut SmrNode<T>;
-            }
-            let mut new = head.with_refs(head.refs() - 1);
-            if head.refs() == 1 {
-                new = new.with_ptr(ptr::null_mut::<SmrNode<T>>());
-            }
-            if slot
-                .head
-                .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break (head, curr, next);
-            }
-        };
-        if old_head.refs() == 1 && !curr.is_null() {
-            // SAFETY: `curr` was the head we just detached; the batch stays
-            // live until this final credit is applied.
-            unsafe { adjust_slot_credit(curr, 0, &mut self.reap) };
-        }
-        if curr != self.handle {
-            // SAFETY: `next` was read from `curr` while our slot reference
-            // pinned the sublist; traverse releases it exactly once.
-            let count = unsafe { self.traverse(next) };
-            slot.ack.fetch_sub(count, Ordering::Relaxed);
-        }
-        self.handle = ptr::null_mut();
-        self.drain();
-    }
-
-    fn trim(&mut self) {
-        debug_assert!(self.active, "trim outside an operation");
-        let slot = self.domain.dir.slot(self.slot);
-        let head = slot.head.load(Ordering::Acquire);
-        let curr: *mut SmrNode<T> = head.ptr();
-        if curr != self.handle {
-            debug_assert!(!curr.is_null());
-            // SAFETY: we are still inside the operation, so the head and its
-            // sublist are pinned by our slot reference.
-            let next =
-                unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) } as *mut SmrNode<T>;
-            // SAFETY: as above — the sublist is pinned until traversed.
-            let count = unsafe { self.traverse(next) };
-            slot.ack.fetch_sub(count, Ordering::Relaxed);
-            self.handle = curr;
-        }
-        self.drain();
-    }
-
-    fn alloc(&mut self, value: T) -> Shared<T> {
-        let domain = self.domain;
-        // Figure 5's init_node: advance the clock every `Freq` allocations
-        // and stamp the node's birth era (shares space with Next).
-        self.alloc_counter += 1;
-        if self.alloc_counter.is_multiple_of(domain.era_freq) {
-            domain.era.advance();
-        }
-        self.local_stats.on_alloc(&domain.stats);
-        let node = domain.pool.alloc(&mut self.mag, &domain.stats, value);
-        // SAFETY: `node` is a fresh, unshared allocation; stamping its birth
-        // era in the header word races with nobody.
-        unsafe {
-            (*node.as_ptr())
-                .header()
-                .word(W_NEXT)
-                .store(domain.era.current() as usize, Ordering::Relaxed);
-        }
-        Shared::from_node(node)
-    }
-
-    // SAFETY: per the `SmrHandle::dealloc` contract the node was never
-    // published, so this thread owns it outright and may free it in place.
-    unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        let domain = self.domain;
-        self.local_stats.on_dealloc(&domain.stats);
-        domain.pool.dispose(&mut self.mag, &domain.stats, ptr.as_node_ptr(), true);
-    }
-
-    /// Figure 5's `deref`: certify that this slot's access era matches the
-    /// global clock *before* the pointer read that is returned. The re-read
-    /// each iteration is what makes the certification sound: a pointer
-    /// obtained after the era sync cannot belong to a batch that already
-    /// skipped this slot.
-    fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
-        let domain = self.domain;
-        let slot = domain.dir.slot(self.slot);
-        let mut access = slot.access.load(Ordering::SeqCst);
-        loop {
-            let node = src.load(Ordering::Acquire);
-            let alloc = domain.era.current();
-            if access == alloc {
-                return node;
-            }
-            access = HyalineS::<T>::touch(slot, alloc);
-        }
-    }
-
-    // SAFETY: per the `SmrHandle::retire` contract the node is unlinked from
-    // every shared structure, so batching it for deferred free is sound.
-    unsafe fn retire(&mut self, ptr: Shared<T>) {
-        debug_assert!(self.active, "retire outside an operation");
-        let domain = self.domain;
-        let node = ptr.as_node_ptr();
-        let birth = header(node).word(W_NEXT).load(Ordering::Relaxed) as u64;
-        self.local_stats.on_retire(&domain.stats);
-        self.batch.push(node, birth, true);
-        if self.batch.count() >= domain.batch_min.max(domain.dir.k() + 1) {
-            self.finalize_and_insert();
-            self.drain();
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.batch.is_empty() {
-            // SAFETY: the batch is non-empty and wholly owned by this handle.
-            unsafe { self.finalize_and_insert() };
-        }
-        self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-    }
-}
-
-impl<T: Send + 'static> Drop for HyalineSHandle<'_, T> {
-    fn drop(&mut self) {
-        if self.active {
-            self.leave();
-        }
-        if !self.batch.is_empty() {
-            // SAFETY: the batch is non-empty and wholly owned by this handle.
-            unsafe { self.finalize_and_insert() };
-        }
-        self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-    }
-}
+pub type HyalineSHandle<'d, T> = Handle<'d, T, SharedSlots, true>;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn domain(slots: usize, adaptive: bool) -> HyalineS<u64> {
-        HyalineS::with_config(SmrConfig {
-            slots,
-            batch_min: 4,
-            era_freq: 4,
-            ack_threshold: 64,
-            adaptive,
-            max_threads: 256,
-            ..SmrConfig::default()
-        })
-    }
+    use crate::core::tests as t;
+    type D = crate::HyalineS<u64>;
+    crate::core::tests::shared_bodies!(HyalineS);
 
     #[test]
     fn single_thread_reclaims_everything() {
-        let d = domain(4, false);
-        {
-            let mut h = d.handle();
-            for i in 0..200u64 {
-                h.enter();
-                let node = h.alloc(i);
-                // SAFETY: `node` was never published; no other reference exists.
-                unsafe { h.retire(node) };
-                h.leave();
-            }
-        }
-        assert!(d.stats().balanced());
-        assert_eq!(d.stats().allocated(), d.stats().freed());
+        t::single_thread_reclaims::<D>();
     }
-
-    #[test]
-    fn birth_era_recorded_on_alloc() {
-        let d = domain(2, false);
-        let mut h = d.handle();
-        h.enter();
-        let node = h.alloc(1);
-        // SAFETY: `node` is live and local; reading its header word is safe.
-        let birth = unsafe { node.header() }.word(W_NEXT).load(Ordering::Relaxed) as u64;
-        assert!(birth >= 1, "birth era must be stamped");
-        assert!(birth <= d.era());
-        // SAFETY: `node` was never published; no other reference exists.
-        unsafe { h.retire(node) };
-        h.leave();
-    }
-
-    #[test]
-    fn protect_raises_access_era() {
-        let d = domain(2, false);
-        let mut h = d.handle();
-        h.enter();
-        let node = h.alloc(5);
-        let link = Atomic::new(node);
-        // Advance the clock so the slot's era is stale.
-        for _ in 0..10 {
-            d.era.advance();
-        }
-        let seen = h.protect(0, &link);
-        assert_eq!(seen, node);
-        let slot_era = d.dir.slot(h.slot()).access.load(Ordering::SeqCst);
-        assert_eq!(slot_era, d.era(), "deref must sync the slot era");
-        // SAFETY: `link` is local to this test; no other thread sees `node`.
-        unsafe { h.retire(node) };
-        h.leave();
-    }
-
-    #[test]
-    fn stalled_thread_does_not_block_new_batches() {
-        // The robustness property: a thread parked inside an operation must
-        // not pin nodes allocated *after* its slot era went stale.
-        let d = &domain(2, false);
-        let entered = &std::sync::Barrier::new(2);
-        let done = &std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut stalled = d.handle();
-                stalled.enter();
-                entered.wait();
-                done.wait(); // "stalled" inside the operation
-                stalled.leave();
-            });
-            entered.wait();
-            let mut worker = d.handle();
-            // Allocate-and-retire churn: every node is born after the
-            // stalled thread's access era, so its slot is skipped and
-            // memory keeps being reclaimed.
-            for i in 0..10_000u64 {
-                worker.enter();
-                let node = worker.alloc(i);
-                // SAFETY: `node` was never published; no other reference exists.
-                unsafe { worker.retire(node) };
-                worker.leave();
-            }
-            worker.flush();
-            let unreclaimed = d.stats().unreclaimed();
-            assert!(
-                unreclaimed < 1_000,
-                "stalled thread pinned {unreclaimed} nodes; robustness violated"
-            );
-            done.wait();
-        });
-        assert!(d.stats().balanced());
-    }
-
-    #[test]
-    fn enter_avoids_saturated_slots() {
-        let d = domain(4, false);
-        // Saturate slot 0 artificially.
-        d.dir.slot(0).ack.store(1 << 20, Ordering::Relaxed);
-        let mut h = d.handle();
-        // Force the preferred slot to 0, then enter: it must move away.
-        h.slot = 0;
-        h.enter();
-        assert_ne!(h.slot(), 0, "enter must skip the saturated slot");
-        h.leave();
-        d.dir.slot(0).ack.store(0, Ordering::Relaxed);
-    }
-
-    #[test]
-    fn adaptive_growth_when_all_slots_saturated() {
-        let d = domain(2, true);
-        for i in 0..2 {
-            d.dir.slot(i).ack.store(1 << 20, Ordering::Relaxed);
-        }
-        assert_eq!(d.slot_count(), 2);
-        let mut h = d.handle();
-        h.enter();
-        // The directory must have grown and the handle moved to a new slot.
-        assert!(d.slot_count() >= 4, "directory did not grow");
-        assert!(h.slot() >= 2, "handle still in a saturated slot");
-        h.leave();
-        for i in 0..2 {
-            d.dir.slot(i).ack.store(0, Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn capped_variant_falls_back_to_least_saturated() {
-        let d = domain(2, false);
-        d.dir.slot(0).ack.store(1 << 20, Ordering::Relaxed);
-        d.dir.slot(1).ack.store(1 << 30, Ordering::Relaxed);
-        let mut h = d.handle();
-        h.enter();
-        assert_eq!(d.slot_count(), 2, "capped directory must not grow");
-        assert_eq!(h.slot(), 0, "expected the least-saturated slot");
-        h.leave();
-        for i in 0..2 {
-            d.dir.slot(i).ack.store(0, Ordering::Relaxed);
-        }
-    }
-
     #[test]
     fn multithreaded_stress_reclaims_all() {
-        let d = &domain(4, true);
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                s.spawn(move || {
-                    let mut h = d.handle();
-                    for i in 0..2_000u64 {
-                        h.enter();
-                        let node = h.alloc(t * 1_000_000 + i);
-                        // SAFETY: the node is thread-local until retired.
-                        unsafe { h.retire(node) };
-                        h.leave();
-                    }
-                });
-            }
+        let config = t::SmrConfig {
+            adaptive: true,
+            max_threads: 256,
+            ..t::cfg()
+        };
+        t::stress::<D>(config, 8, 2_000);
+    }
+    #[test]
+    fn trim_reclaims_mid_operation() {
+        t::trim_reclaims_mid_operation::<D>();
+    }
+    #[test]
+    fn stalled_thread_does_not_block_new_batches() {
+        t::stalled_thread_is_skipped_by_era::<D>(t::SmrConfig {
+            slots: 2,
+            ..t::cfg()
         });
-        assert!(d.stats().balanced());
-        assert_eq!(d.stats().allocated(), d.stats().freed());
+    }
+    #[test]
+    fn birth_era_recorded_on_alloc() {
+        t::birth_era_recorded_on_alloc();
+    }
+    #[test]
+    fn protect_raises_access_era() {
+        t::protect_raises_access_era();
+    }
+    #[test]
+    fn enter_avoids_saturated_slots() {
+        t::enter_avoids_saturated_slots();
+    }
+    #[test]
+    fn adaptive_growth_when_all_slots_saturated() {
+        t::adaptive_growth_when_all_slots_saturated();
+    }
+    #[test]
+    fn capped_variant_falls_back_to_least_saturated() {
+        t::capped_variant_falls_back_to_least_saturated();
     }
 }

@@ -52,183 +52,14 @@
 pub mod batch;
 pub mod core;
 pub mod head;
+mod hyaline;
+mod hyaline1;
+mod hyaline1_s;
+mod hyaline_s;
 pub mod llsc;
 mod registry;
 
-pub use crate::core::{
-    Hyaline, Hyaline1, Hyaline1Handle, Hyaline1S, Hyaline1SHandle, HyalineHandle, HyalineS,
-    HyalineSHandle,
-};
-
-// Each variant's unit tests, under the variant's own module path. Every test
-// is a one-line instance of a body in `core::tests`; the bodies shared by
-// all four variants are written once there.
-#[cfg(test)]
-mod hyaline {
-    mod tests {
-        use crate::core::tests as t;
-        type D = crate::Hyaline<u64>;
-        crate::core::tests::shared_bodies!(Hyaline);
-
-        #[test]
-        fn adjs_constant_matches_paper() {
-            t::adjs_constant_matches_paper();
-        }
-        #[test]
-        fn single_thread_retire_reclaims_everything() {
-            t::single_thread_reclaims::<D>();
-        }
-        #[test]
-        fn many_threads_stress_reclaims_all() {
-            t::stress::<D>(
-                t::SmrConfig {
-                    batch_min: 8,
-                    ..t::cfg()
-                },
-                8,
-                2_000,
-            );
-        }
-        #[test]
-        fn trim_reclaims_without_leaving() {
-            t::trim_reclaims_mid_operation::<D>();
-        }
-        #[test]
-        fn protect_is_plain_load() {
-            t::protect_is_plain_load();
-        }
-        #[test]
-        fn concurrent_stalled_reader_blocks_then_releases() {
-            t::reader_pins_batches_until_leave::<D>();
-        }
-    }
-}
-
-#[cfg(test)]
-mod hyaline1 {
-    mod tests {
-        use crate::core::tests as t;
-        type D = crate::Hyaline1<u64>;
-        crate::core::tests::shared_bodies!(Hyaline1);
-
-        #[test]
-        fn single_thread_reclaims_everything() {
-            t::single_thread_reclaims::<D>();
-        }
-        #[test]
-        fn oversubscribed_stress() {
-            t::stress::<D>(
-                t::SmrConfig {
-                    batch_min: 8,
-                    ..t::cfg()
-                },
-                12,
-                1_500,
-            );
-        }
-        #[test]
-        fn trim_reclaims_mid_operation() {
-            t::trim_reclaims_mid_operation::<D>();
-        }
-        #[test]
-        fn handles_own_distinct_slots() {
-            t::handles_own_distinct_slots();
-        }
-        #[test]
-        fn reader_pins_batches_until_leave() {
-            t::reader_pins_batches_until_leave::<D>();
-        }
-        #[test]
-        fn partial_batch_flush_with_many_active_slots() {
-            t::partial_batch_flush_with_many_active_slots();
-        }
-        #[test]
-        fn churn_of_handles_is_transparent() {
-            t::churn_of_handles_is_transparent::<D>();
-        }
-    }
-}
-
-#[cfg(test)]
-mod hyaline_s {
-    mod tests {
-        use crate::core::tests as t;
-        type D = crate::HyalineS<u64>;
-        crate::core::tests::shared_bodies!(HyalineS);
-
-        #[test]
-        fn single_thread_reclaims_everything() {
-            t::single_thread_reclaims::<D>();
-        }
-        #[test]
-        fn multithreaded_stress_reclaims_all() {
-            let config = t::SmrConfig {
-                adaptive: true,
-                max_threads: 256,
-                ..t::cfg()
-            };
-            t::stress::<D>(config, 8, 2_000);
-        }
-        #[test]
-        fn trim_reclaims_mid_operation() {
-            t::trim_reclaims_mid_operation::<D>();
-        }
-        #[test]
-        fn stalled_thread_does_not_block_new_batches() {
-            t::stalled_thread_is_skipped_by_era::<D>(t::SmrConfig {
-                slots: 2,
-                ..t::cfg()
-            });
-        }
-        #[test]
-        fn birth_era_recorded_on_alloc() {
-            t::birth_era_recorded_on_alloc();
-        }
-        #[test]
-        fn protect_raises_access_era() {
-            t::protect_raises_access_era();
-        }
-        #[test]
-        fn enter_avoids_saturated_slots() {
-            t::enter_avoids_saturated_slots();
-        }
-        #[test]
-        fn adaptive_growth_when_all_slots_saturated() {
-            t::adaptive_growth_when_all_slots_saturated();
-        }
-        #[test]
-        fn capped_variant_falls_back_to_least_saturated() {
-            t::capped_variant_falls_back_to_least_saturated();
-        }
-    }
-}
-
-#[cfg(test)]
-mod hyaline1_s {
-    mod tests {
-        use crate::core::tests as t;
-        type D = crate::Hyaline1S<u64>;
-        crate::core::tests::shared_bodies!(Hyaline1S);
-
-        #[test]
-        fn single_thread_reclaims_everything() {
-            t::single_thread_reclaims::<D>();
-        }
-        #[test]
-        fn multithreaded_stress() {
-            t::stress::<D>(t::cfg(), 8, 2_000);
-        }
-        #[test]
-        fn trim_reclaims_mid_operation() {
-            t::trim_reclaims_mid_operation::<D>();
-        }
-        #[test]
-        fn stalled_thread_is_skipped_by_era() {
-            t::stalled_thread_is_skipped_by_era::<D>(t::cfg());
-        }
-        #[test]
-        fn fresh_reader_is_tracked_not_skipped() {
-            t::fresh_reader_is_tracked_not_skipped::<D>();
-        }
-    }
-}
+pub use crate::hyaline::{Hyaline, HyalineHandle};
+pub use crate::hyaline1::{Hyaline1, Hyaline1Handle};
+pub use crate::hyaline1_s::{Hyaline1S, Hyaline1SHandle};
+pub use crate::hyaline_s::{HyalineS, HyalineSHandle};
