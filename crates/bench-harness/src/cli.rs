@@ -126,6 +126,9 @@ impl Default for BenchScale {
                     // runs need Ack saturation (stalled-slot avoidance) to
                     // kick in correspondingly sooner.
                     ack_threshold: 256,
+                    // Off, like `BenchParams::default()`, so new records key
+                    // as the committed baselines do; `--recycle on` opts in.
+                    recycle: false,
                     ..SmrConfig::default()
                 },
                 ..BenchParams::default()

@@ -70,7 +70,13 @@ impl Default for BenchParams {
             prefill: 1_000,
             key_range: 2_000,
             mix: OpMix::WriteIntensive,
-            config: SmrConfig::default(),
+            // Recycling stays off here although the scheme default turned it
+            // on: `recycle` is part of every record's gate key, and the
+            // committed baselines were recorded without it.
+            config: SmrConfig {
+                recycle: false,
+                ..SmrConfig::default()
+            },
             sample_every: 128,
             use_trim: false,
             trim_window: 64,

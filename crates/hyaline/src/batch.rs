@@ -14,12 +14,20 @@
 //! * **word 1** — `batch_link`: a pointer to the REFS node. On the REFS node
 //!   itself this word stores the batch's `Adjs` constant instead (Section
 //!   4.3: "the NRef node itself does not need to keep this pointer. Instead,
-//!   we use this variable to store the current Adjs value for the batch").
+//!   we use this variable to store the current Adjs value for the batch"),
+//!   and in its low half the batch's node count, padding and dummies
+//!   included. `Adjs = 2^64 / k` leaves those 32 bits zero for every `k` up
+//!   to `2^32`, so [`adjust_slot_credit`] masks them off and reads exactly
+//!   the batch's `Adjs`.
 //! * **word 2** — `batch_next`: the chain linking all nodes of the batch,
 //!   with the low bit flagging whether the node carries a live payload
 //!   (dummy padding nodes, used to finalize partial batches, do not). On the
 //!   REFS node — the chain's tail — this word points back to the chain head
-//!   (`First` in the paper's `free_batch(Ref->First)`).
+//!   (`First` in the paper's `free_batch(Ref->First)`). This is the recycle
+//!   pool's free-list link ([`smr_core::recycle::LINK_WORD`]) in the pool's
+//!   format, which ignores the low tag bits, so a reclaimed batch is already
+//!   a free chain: knowing its head, its tail (the REFS node) and its node
+//!   count, [`free_batch_into`] hands it to the pool in O(1).
 
 use crate::head::{AtomicHead1, Head1Word};
 use smr_core::{LocalStats, Magazine, NodeHeader, NodePool, SmrNode, SmrStats};
@@ -35,6 +43,15 @@ pub const W_CHAIN: usize = 2;
 
 /// Low bit of `W_CHAIN`: set when the node has a live payload.
 const LIVE_BIT: usize = 1;
+
+/// The low half of the REFS node's `W_LINK`, which holds the batch's node
+/// count.
+const COUNT_MASK: usize = (1 << (usize::BITS / 2)) - 1;
+
+// The batch chain is the recycle pool's free-list link, and the pool
+// ignores the flag bits the chain uses.
+const _: () = assert!(W_CHAIN == smr_core::recycle::LINK_WORD);
+const _: () = assert!(LIVE_BIT & smr_core::TAG_MASK == LIVE_BIT);
 
 /// Borrows the SMR header embedded in `node`.
 ///
@@ -110,7 +127,8 @@ impl<T> LocalBatch<T> {
     }
 
     /// Freezes the batch: initializes `NRef` to zero, records the batch's
-    /// `Adjs`, and closes the chain cycle (REFS → chain head).
+    /// `Adjs` and node count, and closes the chain cycle (REFS → chain
+    /// head).
     ///
     /// Returns `(refs_node, chain_head, min_birth)` and resets the batch.
     ///
@@ -119,9 +137,13 @@ impl<T> LocalBatch<T> {
     /// The batch must be non-empty.
     pub unsafe fn finalize(&mut self, adjs: usize) -> FinalizedBatch<T> {
         debug_assert!(!self.is_empty());
+        debug_assert_eq!(adjs & COUNT_MASK, 0, "Adjs overlaps the node count");
+        debug_assert!(self.count < COUNT_MASK, "batch too long to count");
         let refs = self.refs_node;
         header(refs).word(W_NEXT).store(0, Ordering::Relaxed); // NRef = 0
-        header(refs).word(W_LINK).store(adjs, Ordering::Relaxed);
+        header(refs)
+            .word(W_LINK)
+            .store(adjs | self.count, Ordering::Relaxed);
         let live = header(refs).word(W_CHAIN).load(Ordering::Relaxed) & LIVE_BIT;
         header(refs)
             .word(W_CHAIN)
@@ -151,7 +173,7 @@ pub struct FinalizedBatch<T> {
 
 impl<T> FinalizedBatch<T> {
     /// Prepends the payload-less `dummy` (from [`HandleBooks::dummy`]) to
-    /// the chain, returning it.
+    /// the chain, counting it on the REFS node, and returns it.
     ///
     /// Owned-slot inserters use this when more slots turn out to be active
     /// than the batch has insertion nodes (threads registered between batch
@@ -175,6 +197,10 @@ impl<T> FinalizedBatch<T> {
         header(self.refs_node)
             .word(W_CHAIN)
             .store(dummy as usize | (refs_w2 & LIVE_BIT), Ordering::Relaxed);
+        // An RMW on the count bits leaves the `Adjs` bits untouched.
+        header(self.refs_node)
+            .word(W_LINK)
+            .fetch_add(1, Ordering::Relaxed);
         self.chain_head = dummy;
         self.count += 1;
         dummy
@@ -305,7 +331,7 @@ pub unsafe fn adjust_slot_credit<T>(
     reap: &mut Vec<*mut SmrNode<T>>,
 ) {
     let refs = header(node).word(W_LINK).load(Ordering::Acquire) as *mut SmrNode<T>;
-    let adjs = header(refs).word(W_LINK).load(Ordering::Acquire);
+    let adjs = header(refs).word(W_LINK).load(Ordering::Acquire) & !COUNT_MASK;
     adjust_refs(refs, adjs.wrapping_add(href_snapshot), reap);
 }
 
@@ -327,12 +353,27 @@ pub unsafe fn adjust_refs<T>(
     }
 }
 
-/// Frees every node of the batch owned by `refs` through the domain's
-/// recycle pool, returning how many nodes were freed (dummies included).
-/// Payloads are dropped immediately, per the chain's live bits, while the
-/// node memory is handed to `pool`/`mag` for reuse by later allocations.
-/// This is the hyaline-family half of the common `dispose` hook; with
-/// recycling disabled the pool falls through to [`SmrNode::dealloc`].
+/// The node count of the finalized batch whose REFS node is `refs`,
+/// padding and dummies included.
+///
+/// # Safety
+///
+/// `refs` must be a finalized batch's REFS node.
+#[inline]
+unsafe fn batch_len<T>(refs: *mut SmrNode<T>) -> usize {
+    header(refs).word(W_LINK).load(Ordering::Relaxed) & COUNT_MASK
+}
+
+/// Frees the batch owned by `refs` through the domain's recycle pool,
+/// returning how many nodes were freed (dummies included). Payloads are
+/// dropped now, per the chain's live bits; the node memory goes to
+/// `pool`/`mag` for reuse by later allocations.
+///
+/// The batch chain already is a free chain in the pool's format, and the
+/// REFS node is its tail and records its length, so the whole batch is
+/// handed over in O(1) ([`NodePool::dispose_chain`]). Only a payload type
+/// that needs `Drop` costs a walk, to drop the payloads. With recycling
+/// disabled every node goes to [`SmrNode::dealloc`] in one walk.
 ///
 /// # Safety
 ///
@@ -345,20 +386,62 @@ pub unsafe fn free_batch_into<T>(
     stats: &SmrStats,
 ) -> u64 {
     let refs_word = header(refs).word(W_CHAIN).load(Ordering::Acquire);
-    let mut cur = (refs_word & !LIVE_BIT) as *mut SmrNode<T>;
-    let mut freed = 0u64;
-    while cur != refs {
-        let w = header(cur).word(W_CHAIN).load(Ordering::Relaxed);
-        let next = (w & !LIVE_BIT) as *mut SmrNode<T>;
-        // SAFETY: the batch is exclusively ours (NRef crossed zero) and the
-        // live bit says whether this node's payload was ever initialized.
-        pool.dispose(mag, stats, cur, w & LIVE_BIT != 0);
-        freed += 1;
-        cur = next;
+    let head = (refs_word & !LIVE_BIT) as *mut SmrNode<T>;
+    let count = batch_len(refs);
+    debug_assert_eq!(
+        count,
+        chain_len(head, refs),
+        "REFS node miscounts its batch"
+    );
+    if !pool.accepts::<T>() {
+        let mut cur = head;
+        while cur != refs {
+            let w = header(cur).word(W_CHAIN).load(Ordering::Relaxed);
+            // SAFETY: the batch is exclusively ours (NRef crossed zero) and
+            // the live bit says whether this node's payload was ever
+            // initialized.
+            SmrNode::dealloc(cur, w & LIVE_BIT != 0);
+            cur = (w & !LIVE_BIT) as *mut SmrNode<T>;
+        }
+        // SAFETY: as above, for the REFS node itself (the chain tail).
+        SmrNode::dealloc(refs, refs_word & LIVE_BIT != 0);
+        return count as u64;
     }
-    // SAFETY: as above, for the REFS node itself (the chain tail).
-    pool.dispose(mag, stats, refs, refs_word & LIVE_BIT != 0);
-    freed + 1
+    if std::mem::needs_drop::<T>() {
+        let mut cur = head;
+        loop {
+            let w = header(cur).word(W_CHAIN).load(Ordering::Relaxed);
+            if w & LIVE_BIT != 0 {
+                // SAFETY: the batch is exclusively ours and the live bit says
+                // the payload is initialized; the pool never reads it.
+                SmrNode::drop_value_in_place(cur);
+            }
+            if cur == refs {
+                break;
+            }
+            cur = (w & !LIVE_BIT) as *mut SmrNode<T>;
+        }
+    }
+    // SAFETY: `head..=refs` is the whole batch, exclusively ours, of `count`
+    // nodes whose payloads are dropped or were never written (dummies).
+    pool.dispose_chain(mag, stats, head, refs, count);
+    count as u64
+}
+
+/// Counts the nodes from `head` along the batch chain to `refs`, inclusive
+/// (a debug check of the count the REFS node records).
+///
+/// # Safety
+///
+/// `head..=refs` must be a live batch chain.
+unsafe fn chain_len<T>(head: *mut SmrNode<T>, refs: *mut SmrNode<T>) -> usize {
+    let mut cur = head;
+    let mut len = 1;
+    while cur != refs {
+        cur = chain_next(cur);
+        len += 1;
+    }
+    len
 }
 
 /// Figure 5's `touch`: raises a slot's access era to at least `era` with a
@@ -563,12 +646,21 @@ impl<'d, T> HandleBooks<'d, T> {
         self.local.on_free(self.shared, freed);
     }
 
-    /// Publishes the buffered statistics and spills the recycle magazine, so
-    /// a parked handle (`HandlePool` check-in flushes before parking) never
-    /// strands pool capacity.
+    /// Publishes the buffered statistics. The recycle magazine keeps its
+    /// nodes (at most twice `recycle_magazine`), so a handle parked by a
+    /// `HandlePool` check-in serves its next checkout's allocations without
+    /// touching the shared pool; the books give them back when they drop.
     pub fn flush(&mut self) {
-        self.pool.flush(&mut self.mag, self.shared);
+        self.mag.flush_stats(self.shared);
         self.local.flush(self.shared);
+    }
+}
+
+impl<T> Drop for HandleBooks<'_, T> {
+    fn drop(&mut self) {
+        // Both magazine chains go back to the shared pool in O(1), so a
+        // dropped handle strands no node memory.
+        self.pool.flush(&mut self.mag, self.shared);
     }
 }
 
@@ -584,7 +676,10 @@ mod tests {
     ///
     /// As for [`free_batch_into`].
     unsafe fn free_batch<T>(refs: *mut SmrNode<T>) -> u64 {
-        let pool = NodePool::for_node::<T>(&SmrConfig::default());
+        let pool = NodePool::for_node::<T>(&SmrConfig {
+            recycle: false,
+            ..SmrConfig::default()
+        });
         let mut mag = pool.magazine();
         free_batch_into(refs, &pool, &mut mag, &SmrStats::new())
     }

@@ -39,17 +39,20 @@
 //! and the Crystalline-W era-certification helping, again with
 //! fault-injected variants (unconditional release, a forgotten handoff
 //! reference, certifying before touching) that must each be caught. The
-//! [`recycle`] module explores the node-recycling free list of
-//! `smr_core::recycle` — magazine spills (`push_block`) racing refills
-//! (`take_all`) — whose safety rests on an ABA-freedom-by-construction
-//! argument, and demonstrates via a fault-injected Treiber *pop-one*
-//! mutant why that operation is deliberately absent from the pool.
+//! [`recycle`] module explores the shared cells of `smr_core::recycle` —
+//! magazines giving blocks (a CAS from 0) racing takes (a swap to 0),
+//! including a take that cuts a long block and gives the rest back — whose
+//! safety rests on an ABA-freedom-by-construction argument, and
+//! demonstrates via two fault-injected mutants (a Treiber *pop-one* and a
+//! give that overwrites an occupied cell) why neither is in the pool.
 //!
 //! The exploration assumes **sequential consistency**: it interleaves atomic
 //! actions but does not model weaker memory orderings. The production crates
 //! use acquire/release (and seq-cst where required); this checker validates
 //! the *algorithmic* accounting, while the stress suites exercise ordering in
-//! the real implementation. No sanitizer suite exists yet.
+//! the real implementation. CI runs the recycle suite and the scheme smoke
+//! matrix under AddressSanitizer, which checks memory safety but not
+//! ordering.
 //!
 //! # Example
 //!

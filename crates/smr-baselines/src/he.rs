@@ -295,7 +295,7 @@ impl<T: Send + 'static> SmrHandle<T> for HeHandle<'_, T> {
     fn flush(&mut self) {
         self.scan();
         let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
+        self.mag.flush_stats(&domain.stats);
         self.local_stats.flush(&domain.stats);
     }
 }

@@ -109,18 +109,20 @@ pub struct SmrConfig {
     /// Enable the layout-keyed node-recycling layer
     /// ([`smr_core::recycle`](crate::recycle)): reclaimed nodes feed a
     /// per-domain free pool that `alloc` draws from before falling back to
-    /// the global allocator. Off by default — the historical
-    /// allocate/free-through-malloc behaviour.
+    /// the global allocator, and Hyaline and Crystalline hand a reclaimed
+    /// batch to it whole. **On by default**; `false` allocates and frees
+    /// every node through the global allocator.
     pub recycle: bool,
-    /// Maximum number of reclaimed nodes retained by each domain's recycle
-    /// pool (approximate, split across the pool's cache-padded partitions).
-    /// Overflow falls back to the real allocator. Each inner domain of a
+    /// Maximum number of reclaimed nodes held in each domain's shared
+    /// recycle pool (handles' magazines excluded). Overflow falls back to
+    /// the real allocator. Each inner domain of a
     /// [`Sharded`](crate::Sharded) adapter owns a pool of this capacity, so
     /// recycled nodes stay on the shard that freed them. Ignored unless
     /// [`SmrConfig::recycle`] is set.
     pub recycle_capacity: usize,
-    /// Capacity of each handle's local recycle magazine (the bounded cache
-    /// spilled to / refilled from the shared pool in blocks). Ignored unless
+    /// Capacity of each of a handle's two recycle chains, so a handle caches
+    /// at most twice this many nodes; it is also the size of the blocks a
+    /// handle takes from the shared pool. Ignored unless
     /// [`SmrConfig::recycle`] is set.
     pub recycle_magazine: usize,
 }
@@ -210,7 +212,7 @@ impl Default for SmrConfig {
             shards: 1,
             routing: ShardRouting::ByKey,
             handoff_attempts: 8,
-            recycle: false,
+            recycle: true,
             recycle_capacity: 8192,
             recycle_magazine: 64,
         }

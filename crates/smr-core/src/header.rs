@@ -18,8 +18,12 @@ use std::sync::atomic::AtomicUsize;
 /// | word | Hyaline(-1,-S,-1S) | EBR | HP | HE / IBR |
 /// |------|---------------------|-----|----|----------|
 /// | 0 | slot-list `Next` / birth era / `NRef` (REFS node) | limbo next | retired next | retired next |
-/// | 1 | `batch_link` → REFS node / `Adjs` (REFS node) | retire epoch | — | birth era |
+/// | 1 | `batch_link` → REFS node / `Adjs` + node count (REFS node) | retire epoch | — | birth era |
 /// | 2 | `batch_next` chain (low bit: payload-live flag) / `first` (REFS node) | — | — | retire era |
+///
+/// While a node sits in a recycle pool ([`crate::recycle`]) word 2 links it
+/// to the next free node, in the Hyaline batch-chain format, and word 1 of a
+/// pooled block's first node holds the block's length.
 ///
 /// # Example
 ///

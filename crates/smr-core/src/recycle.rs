@@ -3,10 +3,9 @@
 //! Every reclamation scheme in the workspace ultimately frees nodes through
 //! the global allocator, so at high thread counts the benchmarks measure
 //! malloc contention as much as SMR cost. This module converts the reclaim
-//! path into the allocator's fast path: reclaimed [`SmrNode`] memory is
-//! pushed into a per-domain [`NodePool`] (cache-padded partitions of
-//! Treiber-style lock-free free lists) and `alloc` draws from the pool
-//! before falling back to the global allocator.
+//! path into the allocator's fast path: reclaimed [`SmrNode`] memory goes to
+//! a per-domain [`NodePool`], and `alloc` draws from the pool before falling
+//! back to the global allocator.
 //!
 //! # Design
 //!
@@ -18,46 +17,69 @@
 //!   match the pool's key silently falls through to the global allocator, so
 //!   a mixed-type domain can never hand out memory of the wrong size or
 //!   alignment. Reused memory gets a freshly zeroed
-//!   [`NodeHeader`](crate::NodeHeader) and keeps
+//!   [`NodeHeader`] and keeps
 //!   the original allocation's alignment, so the
 //!   [`TAG_BITS`](crate::TAG_BITS) invariant is preserved for free.
-//! * **Magazines.** Each handle owns a bounded [`Magazine`] — a small
-//!   exclusively-owned cache refilled from / spilled to the shared partition
-//!   in blocks, so the common dispose→alloc round trip touches no shared
-//!   cache line at all. A refill detaches a partition's *entire* chain with
-//!   one `swap` and keeps it as a private reserve consumed lazily: walking
-//!   the chain up front to push a remainder back would serially
-//!   pointer-chase every cold node in it, which costs more than recycling
-//!   saves when frees arrive in large bursts. Magazines also buffer the pool's hit/miss/recycled
-//!   statistics and flush them to [`SmrStats`] in batches, like
-//!   [`LocalStats`](crate::LocalStats) does for the core counters.
-//! * **No ABA by construction.** The shared free list supports exactly two
-//!   operations: [`push_block`](NodePool) (a CAS-loop prepend of an
-//!   exclusively-owned chain) and `take_all` (an unconditional `swap` of the
-//!   head to null). The classic Treiber *pop-one* — read `head`, read
-//!   `head->next`, CAS `head → next` — is deliberately not implemented: a
-//!   node popped by another thread can be handed out, live anywhere, and be
-//!   pushed back while our CAS still compares equal, splicing its stale
-//!   `next` (now an in-use node) back into the list. `take_all` has no such
-//!   window: the moment the swap returns, the entire chain is unreachable
-//!   from the shared head, so walking its link words reads exclusively-owned
-//!   memory and no CAS ever validates against state another thread can
-//!   recycle. `push_block` only *writes* the tail link of a chain it owns
-//!   and never dereferences shared nodes. `interleave::recycle` model-checks
-//!   this argument and demonstrates the pop-one trap via a fault-injected
-//!   mutant.
-//! * **Bounded.** Partitions cap their (approximate) length at
-//!   [`SmrConfig::recycle_capacity`]` / partitions`; a spill that finds its
-//!   partition full frees the block through the real allocator, so a burst
-//!   of retirements cannot pin unbounded memory. The pool itself frees every
-//!   cached allocation on `Drop`.
+//! * **Chains, linked in the batch-chain format.** Free nodes are linked
+//!   through header word [`LINK_WORD`] (word 2): the next node's address,
+//!   with the low [`TAG_BITS`](crate::TAG_BITS) ignored. That is the word
+//!   and the format of a Hyaline batch chain, whose low bit flags a live
+//!   payload, so a reclaimed batch already *is* a free chain.
+//! * **Two-chain magazines.** Each handle owns a [`Magazine`]: two private
+//!   null-terminated chains (`loaded` and `spare`), each of which knows its
+//!   length and holds at most [`SmrConfig::recycle_magazine`] nodes. `alloc`
+//!   pops from `loaded`, swapping in `spare` when `loaded` runs dry; a
+//!   single dispose pushes onto `loaded`, and a full `loaded` becomes the
+//!   new `spare`, the old `spare` going to the shared pool. Every one of
+//!   these steps is O(1), and the common dispose→alloc round trip touches no
+//!   shared cache line. A magazine gives its chains back to the shared pool
+//!   when its handle drops ([`NodePool::flush`]), and keeps them across a
+//!   [`HandlePool`](crate::HandlePool) check-in, so the next checkout
+//!   allocates locally. Magazines also
+//!   buffer the pool's hit/miss/recycled statistics and flush them to
+//!   [`SmrStats`] in batches, like [`LocalStats`](crate::LocalStats) does
+//!   for the core counters.
+//! * **O(1) batch hand-off.** [`NodePool::dispose_chain`] takes a whole
+//!   chain of reclaimed nodes whose head, tail and length the caller knows
+//!   (a Hyaline batch records its node count on its REFS node) and links it
+//!   into the magazine with one store, without visiting the nodes in
+//!   between. A chain longer than a magazine goes to the shared pool whole.
+//! * **Bounded shared blocks, ABA-free by construction.** The shared pool is
+//!   a fixed array of cells, each empty (0) or holding the head of one
+//!   block: a null-terminated chain whose length is stored in its head
+//!   node's word 1. Only two operations touch a cell: *give* (a CAS from 0
+//!   to the block's head) and *take* (an unconditional swap to 0). Neither
+//!   reads a node that another thread can reach: a give's comparand is 0,
+//!   never a pointer, so a stale observation can only fail the CAS; a take
+//!   owns the whole block the moment its swap returns, so reading the length
+//!   and walking links afterwards reads exclusively owned memory. The
+//!   classic Treiber *pop-one* — read the head, read `head->next`, CAS the
+//!   head to `next` — is deliberately absent: a node popped by another
+//!   thread can be handed out, used and given back while that CAS still
+//!   compares equal, which would splice its stale `next` (now an in-use
+//!   node) into the pool. A take that finds a block longer than a magazine
+//!   keeps its first `recycle_magazine` nodes (a walk bounded by the
+//!   magazine size) and gives the rest back as a new block, so a later flush
+//!   can return what is left in O(1). `interleave::recycle` model-checks
+//!   this protocol and catches a fault-injected pop-one and a give that
+//!   overwrites an occupied cell.
+//! * **Occupancy hint.** One word holds a bit per cell: set when a give
+//!   fills the cell, cleared just before a take empties it. A miss on an
+//!   empty pool is one load of that word, never a scan of the cells. The
+//!   bit is only a hint: a take that finds its cell empty moves on, and a
+//!   give that finds its cell full sets the bit again.
+//! * **Bounded.** A give first reserves its block's length in the pool's
+//!   node count and backs off when that would pass
+//!   [`SmrConfig::recycle_capacity`], so the pool never holds more than that
+//!   many nodes, however long the spliced chains are. A block that finds the
+//!   pool full (or every cell taken) is freed through the real allocator.
+//!   The pool frees every cached allocation on `Drop`.
 //!
-//! Recycling is **off by default** ([`SmrConfig::recycle`]); a disabled pool
-//! routes straight to [`SmrNode::alloc`]/[`SmrNode::dealloc`] and keeps the
-//! hot path identical to the historical one.
+//! Recycling is **on by default** ([`SmrConfig::recycle`]); a disabled pool
+//! routes straight to [`SmrNode::alloc`]/[`SmrNode::dealloc`].
 
 use crate::config::SmrConfig;
-use crate::header::SmrNode;
+use crate::header::{NodeHeader, SmrNode};
 use crate::stats::SmrStats;
 use crossbeam_utils::CachePadded;
 use std::alloc::{dealloc, Layout};
@@ -65,20 +87,97 @@ use std::fmt;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Shared free-list partitions per pool. A power of two so round-robin
-/// assignment of magazines to partitions stays a mask.
-const PARTITIONS: usize = 8;
+/// Header word that links a free node to the next one in its chain. It is
+/// the word, and the format, of the Hyaline batch chain (`batch_next`): the
+/// next node's address with the low [`TAG_BITS`](crate::TAG_BITS) free for
+/// flags, which the pool ignores.
+pub const LINK_WORD: usize = 2;
 
-/// One cache-padded free-list partition.
+/// Header word of a block's first node that holds the block's length while
+/// the block sits in a shared cell.
+const LEN_WORD: usize = 1;
+
+/// Most cells a pool has: one bit each in the occupancy hint.
+const MAX_CELLS: usize = usize::BITS as usize;
+
+/// Header word `i` of the node at `node`.
 ///
-/// `head` is the address of the first free node (0 = empty); each free node
-/// stores the address of the next in header word 0 (the node is unreachable
-/// while pooled, so the scheme's use of that word does not conflict). `len`
-/// is an approximate element count used only for capacity bounding.
+/// # Safety
+///
+/// `node` must be a node allocation with an initialized header that the
+/// caller owns exclusively (or that is quiescent), for as long as the
+/// returned reference is used.
+#[inline]
+unsafe fn word<'a>(node: usize, i: usize) -> &'a AtomicUsize {
+    (*(node as *const NodeHeader)).word(i)
+}
+
+/// The node after `node` in its chain (0 at the end).
+///
+/// # Safety
+///
+/// As for [`word`].
+#[inline]
+unsafe fn next(node: usize) -> usize {
+    // ORDERING: chains are private to whoever holds them; a chain that came
+    // out of a shared cell was ordered by the take's Acquire swap.
+    word(node, LINK_WORD).load(Ordering::Relaxed) & !crate::TAG_MASK
+}
+
+/// A private null-terminated chain of free nodes that knows its length.
 #[derive(Debug, Default)]
-struct Partition {
-    head: AtomicUsize,
-    len: AtomicUsize,
+struct Chain {
+    head: usize,
+    len: usize,
+}
+
+impl Chain {
+    /// Pushes one exclusively-owned node.
+    ///
+    /// # Safety
+    ///
+    /// `node` is an exclusively-owned node allocation not in any chain.
+    #[inline]
+    unsafe fn push(&mut self, node: usize) {
+        word(node, LINK_WORD).store(self.head, Ordering::Relaxed);
+        self.head = node;
+        self.len += 1;
+    }
+
+    /// Pops the first node, if any.
+    #[inline]
+    fn pop(&mut self) -> Option<usize> {
+        if self.head == 0 {
+            return None;
+        }
+        let node = self.head;
+        // SAFETY: every node of a chain is owned by the chain's holder.
+        self.head = unsafe { next(node) };
+        self.len -= 1;
+        Some(node)
+    }
+
+    /// Links the chain `head..=tail` of `len` nodes in front of this one.
+    ///
+    /// # Safety
+    ///
+    /// `head..=tail` is an exclusively-owned chain of `len` nodes.
+    #[inline]
+    unsafe fn prepend(&mut self, head: usize, tail: usize, len: usize) {
+        word(tail, LINK_WORD).store(self.head, Ordering::Relaxed);
+        self.head = head;
+        self.len += len;
+    }
+}
+
+/// The shared counters every give and take updates, on one cache line.
+#[derive(Debug, Default)]
+struct Depot {
+    /// Nodes in the cells, plus the reservations of gives in flight. Never
+    /// above the pool's capacity.
+    pooled: AtomicUsize,
+    /// Bit `i` set: cell `i` probably holds a block (see the module docs).
+    occupied: AtomicUsize,
 }
 
 /// A layout-keyed pool of recycled [`SmrNode`] allocations for one domain.
@@ -89,9 +188,13 @@ pub struct NodePool {
     layout: Layout,
     enabled: bool,
     magazine_cap: usize,
-    partition_cap: usize,
-    partitions: Box<[CachePadded<Partition>]>,
-    next_partition: AtomicUsize,
+    capacity: usize,
+    depot: CachePadded<Depot>,
+    /// Each cell is 0 or the head of a block given to the pool.
+    cells: Box<[AtomicUsize]>,
+    /// One bit per cell.
+    cell_mask: usize,
+    next_cursor: AtomicUsize,
 }
 
 impl NodePool {
@@ -107,15 +210,24 @@ impl NodePool {
     }
 
     fn with_layout(layout: Layout, enabled: bool, capacity: usize, magazine: usize) -> Self {
+        let magazine_cap = magazine.max(1);
+        // Enough cells for the capacity in full magazine-sized blocks.
+        let cells = if enabled {
+            capacity.div_ceil(magazine_cap).min(MAX_CELLS)
+        } else {
+            0
+        };
         Self {
             layout,
             enabled,
-            magazine_cap: magazine.max(1),
-            partition_cap: capacity.div_ceil(PARTITIONS),
-            partitions: (0..PARTITIONS)
-                .map(|_| CachePadded::new(Partition::default()))
-                .collect(),
-            next_partition: AtomicUsize::new(0),
+            magazine_cap,
+            capacity,
+            depot: CachePadded::new(Depot::default()),
+            cells: (0..cells).map(|_| AtomicUsize::new(0)).collect(),
+            cell_mask: usize::MAX
+                .checked_shr((MAX_CELLS - cells) as u32)
+                .unwrap_or(0),
+            next_cursor: AtomicUsize::new(0),
         }
     }
 
@@ -125,13 +237,28 @@ impl NodePool {
         self.enabled
     }
 
-    /// A fresh magazine bound to one of this pool's partitions (round-robin,
-    /// so concurrent handles spread across partitions).
+    /// Whether this pool recycles nodes of payload type `T`: it is enabled
+    /// and keyed to `SmrNode<T>`'s layout. Everything else falls through to
+    /// the global allocator.
+    #[inline]
+    pub fn accepts<T>(&self) -> bool {
+        self.enabled && Layout::new::<SmrNode<T>>() == self.layout
+    }
+
+    /// Nodes held in the shared cells right now (magazines excluded), plus
+    /// the reservations of gives in flight. The cells themselves never hold
+    /// more than [`SmrConfig::recycle_capacity`] nodes.
+    pub fn pooled(&self) -> usize {
+        self.depot.pooled.load(Ordering::Relaxed)
+    }
+
+    /// A fresh, empty magazine. Magazines start their cell searches at
+    /// different cells (round-robin), so concurrent handles spread out.
     pub fn magazine(&self) -> Magazine {
         Magazine {
-            partition: self.next_partition.fetch_add(1, Ordering::Relaxed) & (PARTITIONS - 1),
-            items: Vec::new(),
-            reserve: 0,
+            loaded: Chain::default(),
+            spare: Chain::default(),
+            cursor: self.next_cursor.fetch_add(1, Ordering::Relaxed) % MAX_CELLS,
             hits: 0,
             misses: 0,
             recycled: 0,
@@ -143,12 +270,12 @@ impl NodePool {
     /// Falls back to [`SmrNode::alloc`] when the pool is disabled, empty, or
     /// keyed to a different layout.
     pub fn alloc<T>(&self, mag: &mut Magazine, shared: &SmrStats, value: T) -> NonNull<SmrNode<T>> {
-        if !self.usable_for::<T>() {
+        if !self.accepts::<T>() {
             return SmrNode::alloc(value);
         }
         match self.grab(mag, shared) {
             // SAFETY: `raw` came out of this pool, whose key equals
-            // `Layout::new::<SmrNode<T>>()` (checked by `usable_for`), and
+            // `Layout::new::<SmrNode<T>>()` (checked by `accepts`), and
             // pooled memory is exclusively owned by whoever popped it.
             Some(raw) => unsafe { SmrNode::renew(raw as *mut u8, value) },
             None => SmrNode::alloc(value),
@@ -162,12 +289,16 @@ impl NodePool {
     ///
     /// Same contract as [`SmrNode::alloc_dummy`]: the payload must never be
     /// read and the node must be released with `drop_payload = false`.
-    pub unsafe fn alloc_dummy<T>(&self, mag: &mut Magazine, shared: &SmrStats) -> NonNull<SmrNode<T>> {
-        if !self.usable_for::<T>() {
+    pub unsafe fn alloc_dummy<T>(
+        &self,
+        mag: &mut Magazine,
+        shared: &SmrStats,
+    ) -> NonNull<SmrNode<T>> {
+        if !self.accepts::<T>() {
             return SmrNode::alloc_dummy();
         }
         match self.grab(mag, shared) {
-            // SAFETY: layout match checked by `usable_for`; pooled memory is
+            // SAFETY: layout match checked by `accepts`; pooled memory is
             // exclusively owned by whoever popped it.
             Some(raw) => SmrNode::renew_dummy(raw as *mut u8),
             None => SmrNode::alloc_dummy(),
@@ -179,8 +310,8 @@ impl NodePool {
     /// memory into `mag`/the pool instead of freeing it.
     ///
     /// Falls back to [`SmrNode::dealloc`] when the pool is disabled or keyed
-    /// to a different layout, and to the real allocator when both the
-    /// magazine and the partition are full.
+    /// to a different layout, and to the real allocator when the magazine
+    /// and the pool are both full.
     ///
     /// # Safety
     ///
@@ -194,7 +325,7 @@ impl NodePool {
         node: *mut SmrNode<T>,
         drop_payload: bool,
     ) {
-        if !self.usable_for::<T>() {
+        if !self.accepts::<T>() {
             // SAFETY: forwarded caller contract.
             SmrNode::dealloc(node, drop_payload);
             return;
@@ -203,158 +334,226 @@ impl NodePool {
             // SAFETY: caller owns the node and asserts the payload is live.
             SmrNode::drop_value_in_place(node);
         }
-        mag.items.push(node as usize);
+        if mag.loaded.len >= self.magazine_cap {
+            let full = std::mem::take(&mut mag.loaded);
+            self.stash(mag, full);
+        }
+        mag.loaded.push(node as usize);
         mag.recycled += 1;
-        if mag.items.len() > self.magazine_cap {
-            self.spill_down(mag, self.magazine_cap / 2);
-        }
-        mag.maybe_flush_counts(shared);
+        mag.maybe_flush_stats(shared);
     }
 
-    /// Spills the whole magazine back to the pool and publishes its buffered
-    /// statistics. Schemes call this from
-    /// [`SmrHandle::flush`](crate::SmrHandle::flush) and on handle drop so
-    /// parked or retired
-    /// handles never strand pool capacity.
-    pub fn flush(&self, mag: &mut Magazine, shared: &SmrStats) {
-        // Drain the private reserve in magazine-sized chunks so each spill
-        // re-checks the partition's capacity bound.
-        loop {
-            self.spill_down(mag, 0);
-            if mag.reserve == 0 {
-                break;
+    /// Hands the whole chain `head..=tail` of `len` reclaimed nodes to `mag`
+    /// (or, when it is longer than a magazine, to the shared pool) without
+    /// visiting the nodes in between. The chain links through
+    /// [`LINK_WORD`], whose low [`TAG_BITS`](crate::TAG_BITS) are ignored;
+    /// `tail`'s link is overwritten.
+    ///
+    /// Falls back to freeing every node through the real allocator, without
+    /// dropping payloads, when the pool does not [`accept`](Self::accepts)
+    /// `T`.
+    ///
+    /// # Safety
+    ///
+    /// `head..=tail` must be a chain of exactly `len >= 1` exclusively-owned
+    /// `SmrNode<T>` allocations, not yet freed, whose payloads were already
+    /// dropped or never written.
+    pub unsafe fn dispose_chain<T>(
+        &self,
+        mag: &mut Magazine,
+        shared: &SmrStats,
+        head: *mut SmrNode<T>,
+        tail: *mut SmrNode<T>,
+        len: usize,
+    ) {
+        debug_assert!(len >= 1 && !head.is_null() && !tail.is_null());
+        let (head, tail) = (head as usize, tail as usize);
+        if !self.accepts::<T>() {
+            word(tail, LINK_WORD).store(0, Ordering::Relaxed);
+            free_chain(Chain { head, len }, Layout::new::<SmrNode<T>>());
+            return;
+        }
+        mag.recycled += len as u64;
+        if mag.spare.len + len <= self.magazine_cap {
+            mag.spare.prepend(head, tail, len);
+        } else if mag.loaded.len + len <= self.magazine_cap {
+            mag.loaded.prepend(head, tail, len);
+        } else {
+            let mut chain = Chain::default();
+            chain.prepend(head, tail, len);
+            if len <= self.magazine_cap {
+                self.stash(mag, chain);
+            } else {
+                self.give_or_free(chain, mag.cursor);
             }
-            mag.draw_reserve(self.magazine_cap);
         }
-        mag.flush_counts(shared);
+        mag.maybe_flush_stats(shared);
     }
 
-    fn usable_for<T>(&self) -> bool {
-        self.enabled && Layout::new::<SmrNode<T>>() == self.layout
+    /// Gives both of the magazine's chains to the shared pool and publishes
+    /// its buffered statistics, in O(1). Every scheme calls this when a
+    /// handle drops, so a dead handle strands no memory.
+    /// [`SmrHandle::flush`](crate::SmrHandle::flush) only publishes the
+    /// statistics ([`Magazine::flush_stats`]): a handle parked by a
+    /// [`HandlePool`](crate::HandlePool) check-in keeps its bounded
+    /// magazine and serves its next checkout's allocations locally.
+    pub fn flush(&self, mag: &mut Magazine, shared: &SmrStats) {
+        let loaded = std::mem::take(&mut mag.loaded);
+        self.give_or_free(loaded, mag.cursor);
+        let spare = std::mem::take(&mut mag.spare);
+        self.give_or_free(spare, mag.cursor);
+        mag.flush_stats(shared);
     }
 
-    /// Pops one recycled allocation, refilling the magazine from the shared
-    /// partitions when it is empty. Returns `None` on a pool miss.
+    /// Pops one recycled allocation: from `loaded`, else from `spare`, else
+    /// from a block taken from the shared pool. Returns `None` on a pool
+    /// miss.
+    #[inline]
     fn grab(&self, mag: &mut Magazine, shared: &SmrStats) -> Option<usize> {
-        if mag.items.is_empty() {
-            self.refill(mag);
+        if mag.loaded.head == 0 {
+            if mag.spare.head != 0 {
+                std::mem::swap(&mut mag.loaded, &mut mag.spare);
+            } else {
+                self.refill(mag);
+            }
         }
-        let raw = mag.items.pop();
+        let raw = mag.loaded.pop();
         match raw {
             Some(_) => mag.hits += 1,
             None => mag.misses += 1,
         }
-        mag.maybe_flush_counts(shared);
+        mag.maybe_flush_stats(shared);
         raw
     }
 
-    /// Moves magazine entries beyond `keep` into the shared partition as one
-    /// linked block — or frees them for real when the partition is at
-    /// capacity, so the pool's footprint stays bounded.
-    fn spill_down(&self, mag: &mut Magazine, keep: usize) {
-        if mag.items.len() <= keep {
-            return;
-        }
-        let part = &self.partitions[mag.partition];
-        let overflowing = part.len.load(Ordering::Relaxed) >= self.partition_cap;
-        let mut head = 0usize;
-        let mut tail = 0usize;
-        let mut n = 0usize;
-        while mag.items.len() > keep {
-            let raw = mag.items.pop().expect("len > keep implies non-empty");
-            if overflowing {
-                // SAFETY: `raw` is an exclusively-owned allocation of
-                // `self.layout` whose payload was already dropped on
-                // `dispose`; freeing the raw memory releases it fully.
-                unsafe { dealloc(raw as *mut u8, self.layout) };
-                continue;
-            }
-            // Chain the block locally before a single shared push: the link
-            // lives in header word 0 of the (unreachable) node.
-            // SAFETY: `raw` is exclusively ours until `push_block` publishes
-            // it; header word 0 is at offset 0 and valid for atomic access.
-            unsafe { (*(raw as *const AtomicUsize)).store(head, Ordering::Relaxed) };
-            if head == 0 {
-                tail = raw;
-            }
-            head = raw;
-            n += 1;
-        }
-        if n > 0 {
-            self.push_block(part, head, tail, n);
-        }
+    /// Makes `chain` the magazine's spare, giving the old spare to the
+    /// shared pool.
+    fn stash(&self, mag: &mut Magazine, chain: Chain) {
+        let old = std::mem::replace(&mut mag.spare, chain);
+        self.give_or_free(old, mag.cursor);
     }
 
-    /// Prepends an exclusively-owned chain (`head..=tail`, `n` nodes) onto
-    /// the partition's free list.
-    ///
-    /// ABA-free: the CAS only ever *writes* the chain's tail link (memory we
-    /// own until the CAS succeeds) and never dereferences the observed head,
-    /// so a stale comparand can only cost a retry, never a corrupt splice.
-    fn push_block(&self, part: &Partition, head: usize, tail: usize, n: usize) {
-        debug_assert!(head != 0 && tail != 0 && n > 0);
-        // SAFETY: `tail` is part of the not-yet-published chain we own; its
-        // header word 0 is at offset 0 and valid for atomic access.
-        let tail_link = unsafe { &*(tail as *const AtomicUsize) };
-        let mut cur = part.head.load(Ordering::Relaxed);
-        loop {
-            tail_link.store(cur, Ordering::Relaxed);
-            // Release publishes the chain's link words to the next take_all.
-            match part
-                .head
-                .compare_exchange_weak(cur, head, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        part.len.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Refills an empty magazine: draws from the magazine's private reserve
-    /// chain first, then detaches a whole partition chain with one `swap`
-    /// (trying the magazine's own partition first, then the others) and
-    /// parks it as the new reserve.
-    ///
-    /// The detached chain is deliberately **not** walked to split off a
-    /// remainder and push it back: finding the remainder's tail would be a
-    /// serial pointer-chase over every cold node in the chain — O(partition
-    /// residency) cache misses per refill, which measurably dominates the
-    /// whole recycling win for schemes that free in large bursts (Hyaline
-    /// batches, epoch scans build partition chains thousands of nodes
-    /// long). Keeping the chain as a lazily-consumed reserve means a refill
-    /// only ever touches the nodes it actually hands out.
+    /// Loads an empty magazine with a block taken from the shared pool. A
+    /// block longer than a magazine is cut after `magazine_cap` nodes and
+    /// the rest given back.
     fn refill(&self, mag: &mut Magazine) {
-        debug_assert!(mag.items.is_empty());
-        let want = (self.magazine_cap / 2).max(1);
-        mag.draw_reserve(want);
-        if !mag.items.is_empty() {
+        debug_assert!(mag.loaded.head == 0 && mag.spare.head == 0);
+        let Some(block) = self.take(mag.cursor) else {
+            return;
+        };
+        if block.len <= self.magazine_cap {
+            mag.loaded = block;
             return;
         }
-        for i in 0..self.partitions.len() {
-            let idx = (mag.partition + i) & (PARTITIONS - 1);
-            let part = &self.partitions[idx];
-            if part.head.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            // Acquire pairs with the Release publish in `push_block`; from
-            // here the entire detached chain is exclusively ours, which is
-            // what makes walking its link words safe (see module docs).
-            let chain = part.head.swap(0, Ordering::Acquire);
-            if chain == 0 {
-                continue;
-            }
-            // The approximate `len` is zeroed wholesale rather than walked:
-            // a push whose CAS lands between the two swaps can lose its
-            // count, transiently under-counting the partition. `len` only
-            // bounds capacity (saturating, advisory), so the trade is the
-            // same one the counter already makes.
-            part.len.swap(0, Ordering::Relaxed);
-            mag.reserve = chain;
-            mag.draw_reserve(want);
+        let mut cut = block.head;
+        for _ in 1..self.magazine_cap {
+            // SAFETY: the taken block is exclusively ours (see `take`).
+            cut = unsafe { next(cut) };
+        }
+        // SAFETY: as above; `cut` is the block's `magazine_cap`-th node.
+        let rest_head = unsafe { next(cut) };
+        let rest = Chain {
+            head: rest_head,
+            len: block.len - self.magazine_cap,
+        };
+        // SAFETY: as above.
+        unsafe { word(cut, LINK_WORD).store(0, Ordering::Relaxed) };
+        mag.loaded = Chain {
+            head: block.head,
+            len: self.magazine_cap,
+        };
+        self.give_or_free(rest, mag.cursor);
+    }
+
+    /// Gives `chain` to the shared pool, or frees its nodes through the real
+    /// allocator when the pool has no room for it.
+    fn give_or_free(&self, chain: Chain, cursor: usize) {
+        if chain.len == 0 {
             return;
+        }
+        if let Err(chain) = self.give(chain, cursor) {
+            // SAFETY: a rejected chain is still exclusively ours; pooled
+            // nodes have layout `self.layout` and no live payload.
+            unsafe { free_chain(chain, self.layout) };
         }
     }
+
+    /// Puts a non-empty chain into an empty cell: a CAS from 0 to its head.
+    /// Fails, handing the chain back, when the pool would pass its capacity
+    /// or no cell is free.
+    fn give(&self, chain: Chain, cursor: usize) -> Result<(), Chain> {
+        debug_assert!(chain.len > 0);
+        let depot = &*self.depot;
+        // Reserve the room first, so the cells never hold more than
+        // `capacity` nodes.
+        let before = depot.pooled.fetch_add(chain.len, Ordering::Relaxed);
+        if before + chain.len > self.capacity {
+            depot.pooled.fetch_sub(chain.len, Ordering::Relaxed);
+            return Err(chain);
+        }
+        // SAFETY: the chain is exclusively ours until the CAS publishes it.
+        unsafe { word(chain.head, LEN_WORD).store(chain.len, Ordering::Relaxed) };
+        let mut free = !depot.occupied.load(Ordering::Relaxed) & self.cell_mask;
+        while free != 0 {
+            let i = pick(free, cursor);
+            free &= !(1 << i);
+            // Release publishes the chain's link and length words to the
+            // take that swaps it out.
+            let won = self.cells[i]
+                .compare_exchange(0, chain.head, Ordering::Release, Ordering::Relaxed)
+                .is_ok();
+            // Set the hint on a win, and heal it when the cell was full.
+            depot.occupied.fetch_or(1 << i, Ordering::Relaxed);
+            if won {
+                return Ok(());
+            }
+        }
+        depot.pooled.fetch_sub(chain.len, Ordering::Relaxed);
+        Err(chain)
+    }
+
+    /// Takes a block out of a cell the occupancy hint marks: an unconditional
+    /// swap to 0, after which the whole block is exclusively ours.
+    fn take(&self, cursor: usize) -> Option<Chain> {
+        let depot = &*self.depot;
+        let mut full = depot.occupied.load(Ordering::Relaxed);
+        while full != 0 {
+            let i = pick(full, cursor);
+            full &= !(1 << i);
+            // Clear the hint before emptying the cell, so a give that
+            // refills it afterwards always leaves its bit set.
+            depot.occupied.fetch_and(!(1 << i), Ordering::Relaxed);
+            // Acquire pairs with the Release of the give that filled it.
+            let head = self.cells[i].swap(0, Ordering::Acquire);
+            if head != 0 {
+                // SAFETY: the swap detached the block; it is exclusively ours.
+                let len = unsafe { word(head, LEN_WORD).load(Ordering::Relaxed) };
+                depot.pooled.fetch_sub(len, Ordering::Relaxed);
+                return Some(Chain { head, len });
+            }
+        }
+        None
+    }
+}
+
+/// Frees every node of `chain` through the real allocator as an allocation
+/// of `layout`, without dropping payloads.
+///
+/// # Safety
+///
+/// `chain` is an exclusively-owned chain of allocations of `layout` whose
+/// payloads are dropped or were never written.
+unsafe fn free_chain(mut chain: Chain, layout: Layout) {
+    while let Some(node) = chain.pop() {
+        dealloc(node as *mut u8, layout);
+    }
+}
+
+/// The first set bit of `bits` at or after bit `cursor`, wrapping around.
+#[inline]
+fn pick(bits: usize, cursor: usize) -> usize {
+    debug_assert!(bits != 0);
+    (bits.rotate_right(cursor as u32).trailing_zeros() as usize + cursor) % MAX_CELLS
 }
 
 impl fmt::Debug for NodePool {
@@ -363,7 +562,9 @@ impl fmt::Debug for NodePool {
             .field("layout", &self.layout)
             .field("enabled", &self.enabled)
             .field("magazine_cap", &self.magazine_cap)
-            .field("partition_cap", &self.partition_cap)
+            .field("capacity", &self.capacity)
+            .field("cells", &self.cells.len())
+            .field("pooled", &self.pooled())
             .finish_non_exhaustive()
     }
 }
@@ -371,25 +572,22 @@ impl fmt::Debug for NodePool {
 // SAFETY: the pool only stores addresses of exclusively-owned allocations;
 // all shared mutation goes through atomics.
 unsafe impl Send for NodePool {}
-// SAFETY: as above — `push_block`/`take_all` are the only shared-list
-// operations and both are atomic on `Partition::head`.
+// SAFETY: as above — give (CAS from 0) and take (swap to 0) are the only
+// operations on a cell, and both are atomic.
 unsafe impl Sync for NodePool {}
 
 impl Drop for NodePool {
     fn drop(&mut self) {
         // `&mut self`: no handle can race us, so plain walks are fine.
-        for part in self.partitions.iter() {
-            let mut cur = part.head.load(Ordering::Relaxed);
-            while cur != 0 {
-                // SAFETY: every pooled address is an exclusively-owned
-                // allocation of `self.layout` whose payload was dropped
-                // before it entered the pool.
-                // ORDERING: `&mut self` proves the partitions are quiescent
-                // (no concurrent pushers), so Relaxed link loads suffice.
-                let next = unsafe { (*(cur as *const AtomicUsize)).load(Ordering::Relaxed) };
+        for i in 0..self.cells.len() {
+            let head = std::mem::take(self.cells[i].get_mut());
+            if head != 0 {
+                // SAFETY: a cell's block is a chain of allocations of
+                // `self.layout` whose payloads were dropped before they
+                // entered the pool, and nobody else can reach it now.
+                let len = unsafe { word(head, LEN_WORD).load(Ordering::Relaxed) };
                 // SAFETY: as above.
-                unsafe { dealloc(cur as *mut u8, self.layout) };
-                cur = next;
+                unsafe { free_chain(Chain { head, len }, self.layout) };
             }
         }
     }
@@ -399,22 +597,19 @@ impl Drop for NodePool {
 /// the shared [`SmrStats`] (mirrors `LocalStats`' batching).
 const STAT_FLUSH_EVERY: u64 = 64;
 
-/// A handle-local bounded cache of recycled allocations (plus buffered pool
-/// statistics), created by [`NodePool::magazine`].
+/// A handle-local cache of recycled allocations (plus buffered pool
+/// statistics), created by [`NodePool::magazine`]: two private chains of at
+/// most [`SmrConfig::recycle_magazine`] nodes each.
 ///
 /// A magazine must be flushed back to its pool (via [`NodePool::flush`])
-/// before it is dropped; schemes do this in their handle `Drop` and
-/// `flush()` paths, which is also what makes
-/// [`HandlePool`](crate::HandlePool) check-in release pooled capacity.
+/// before it is dropped; schemes do this when their handles drop.
 pub struct Magazine {
-    partition: usize,
-    /// Addresses of exclusively-owned allocations (stored as `usize`, like
-    /// the tagged [`Shared`](crate::Shared) representation).
-    items: Vec<usize>,
-    /// Head of a private free chain detached wholesale from a partition by
-    /// `refill` (0 = empty) and consumed lazily — see `NodePool::refill`
-    /// for why the chain is never walked up front.
-    reserve: usize,
+    /// The chain `alloc` pops from and a single dispose pushes onto.
+    loaded: Chain,
+    /// A second chain, swapped in when `loaded` runs dry.
+    spare: Chain,
+    /// The cell where this magazine's searches of the shared pool start.
+    cursor: usize,
     hits: u64,
     misses: u64,
     recycled: u64,
@@ -423,37 +618,24 @@ pub struct Magazine {
 impl Magazine {
     /// Nodes currently cached in this magazine.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.loaded.len + self.spare.len
     }
 
     /// Whether the magazine holds no cached nodes.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Moves up to `want` nodes from the private reserve chain into
-    /// `items`, touching only the nodes it hands out.
-    fn draw_reserve(&mut self, want: usize) {
-        while self.reserve != 0 && self.items.len() < want {
-            let raw = self.reserve;
-            // SAFETY: the reserve chain was detached from a partition by
-            // `refill` and is exclusively owned by this magazine; header
-            // word 0 of each node holds the next-free link.
-            // ORDERING: the detaching swap in `refill` was Acquire, which
-            // already ordered these link words; private reads are Relaxed.
-            self.reserve = unsafe { (*(raw as *const AtomicUsize)).load(Ordering::Relaxed) };
-            self.items.push(raw);
-        }
+        self.len() == 0
     }
 
     #[inline]
-    fn maybe_flush_counts(&mut self, shared: &SmrStats) {
+    fn maybe_flush_stats(&mut self, shared: &SmrStats) {
         if self.hits + self.misses + self.recycled >= STAT_FLUSH_EVERY {
-            self.flush_counts(shared);
+            self.flush_stats(shared);
         }
     }
 
-    fn flush_counts(&mut self, shared: &SmrStats) {
+    /// Publishes the buffered pool statistics to `shared`, keeping the
+    /// cached nodes.
+    pub fn flush_stats(&mut self, shared: &SmrStats) {
         if self.hits > 0 {
             shared.add_pool_hits(self.hits);
             self.hits = 0;
@@ -472,8 +654,8 @@ impl Magazine {
 impl fmt::Debug for Magazine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Magazine")
-            .field("partition", &self.partition)
-            .field("cached", &self.items.len())
+            .field("loaded", &self.loaded.len)
+            .field("spare", &self.spare.len)
             .finish_non_exhaustive()
     }
 }
@@ -490,11 +672,10 @@ impl Drop for Magazine {
         // during unwinds where the flush legitimately never ran.
         if !std::thread::panicking() {
             debug_assert!(
-                self.items.is_empty() && self.reserve == 0,
-                "magazine dropped with {} cached nodes (reserve head {:#x}); the \
-                 owning handle must flush it back to its NodePool first",
-                self.items.len(),
-                self.reserve
+                self.is_empty(),
+                "magazine dropped with {} cached nodes; the owning handle \
+                 must flush it back to its NodePool first",
+                self.len()
             );
         }
     }
@@ -522,9 +703,34 @@ mod tests {
         }
     }
 
+    /// Allocates `len` payload-less nodes and links them into a chain
+    /// through [`LINK_WORD`], returning `(head, tail)`.
+    fn chain_of(
+        pool: &NodePool,
+        mag: &mut Magazine,
+        stats: &SmrStats,
+        len: usize,
+    ) -> (usize, usize) {
+        let (mut head, mut tail) = (0, 0);
+        for _ in 0..len {
+            // SAFETY: the dummy is only linked and disposed, never read.
+            let node = unsafe { pool.alloc_dummy::<u64>(mag, stats) }.as_ptr() as usize;
+            // SAFETY: `node` is fresh and exclusively owned.
+            unsafe { word(node, LINK_WORD).store(head | 1, Ordering::Relaxed) };
+            if head == 0 {
+                tail = node;
+            }
+            head = node;
+        }
+        (head, tail)
+    }
+
     #[test]
     fn disabled_pool_routes_to_global_allocator() {
-        let pool = NodePool::for_node::<u64>(&SmrConfig::default());
+        let pool = NodePool::for_node::<u64>(&SmrConfig {
+            recycle: false,
+            ..SmrConfig::default()
+        });
         assert!(!pool.enabled());
         let stats = SmrStats::new();
         let mut mag = pool.magazine();
@@ -535,6 +741,12 @@ mod tests {
         assert_eq!(stats.pool_hits(), 0);
         assert_eq!(stats.pool_misses(), 0);
         assert_eq!(stats.recycled(), 0);
+    }
+
+    #[test]
+    fn recycling_is_on_by_default() {
+        assert!(SmrConfig::default().recycle);
+        assert!(NodePool::for_node::<u64>(&SmrConfig::default()).enabled());
     }
 
     #[test]
@@ -559,7 +771,10 @@ mod tests {
         for w in 0..crate::NodeHeader::WORDS {
             assert_eq!(
                 // SAFETY: `reused` was just allocated and is exclusively owned.
-                unsafe { reused.as_ref() }.header().word(w).load(Ordering::Relaxed),
+                unsafe { reused.as_ref() }
+                    .header()
+                    .word(w)
+                    .load(Ordering::Relaxed),
                 0,
                 "header word {w} re-zeroed on reuse"
             );
@@ -583,7 +798,10 @@ mod tests {
         // SAFETY: exclusively owned, live payload.
         unsafe { pool.dispose(&mut mag, &stats, big.as_ptr(), true) };
         pool.flush(&mut mag, &stats);
-        assert_eq!(stats.pool_hits() + stats.pool_misses() + stats.recycled(), 0);
+        assert_eq!(
+            stats.pool_hits() + stats.pool_misses() + stats.recycled(),
+            0
+        );
         assert!(mag.is_empty(), "mismatched node never entered the magazine");
     }
 
@@ -594,7 +812,9 @@ mod tests {
         let pool = NodePool::for_node::<u64>(&cfg(0, 2));
         let stats = SmrStats::new();
         let mut mag = pool.magazine();
-        let nodes: Vec<_> = (0..64).map(|i| pool.alloc(&mut mag, &stats, i as u64)).collect();
+        let nodes: Vec<_> = (0..64)
+            .map(|i| pool.alloc(&mut mag, &stats, i as u64))
+            .collect();
         for n in nodes {
             // SAFETY: exclusively owned, live payload.
             unsafe { pool.dispose(&mut mag, &stats, n.as_ptr(), true) };
@@ -621,8 +841,8 @@ mod tests {
             unsafe { pool.dispose(&mut producer, &stats, n.as_ptr(), true) };
         }
         pool.flush(&mut producer, &stats);
-        // A different magazine (different partition assignment) must still
-        // find the spilled nodes by scanning partitions.
+        // A different magazine (starting its search at a different cell)
+        // must still find the given blocks through the occupancy hint.
         let mut consumer = pool.magazine();
         let n = pool.alloc(&mut consumer, &stats, 99u64);
         assert!(
@@ -646,9 +866,13 @@ mod tests {
             unsafe { pool.dispose(&mut mag, &stats, n.as_ptr(), true) };
         }
         pool.flush(&mut mag, &stats);
-        assert_eq!(DROPS.load(Ordering::Relaxed), 32, "payloads dropped at dispose");
+        assert_eq!(
+            DROPS.load(Ordering::Relaxed),
+            32,
+            "payloads dropped at dispose"
+        );
         drop(mag);
-        drop(pool); // must free the 32 cached allocations (leak-checked under Miri/asan)
+        drop(pool); // must free the cached allocations (leak-checked under ASan)
     }
 
     #[test]
@@ -680,6 +904,7 @@ mod tests {
         assert_eq!(stats.pool_hits() + stats.pool_misses(), 8000);
         assert_eq!(stats.recycled(), 8000);
         assert!(stats.pool_hits() > 0, "cross-thread reuse must occur");
+        assert!(pool.pooled() <= 4096);
     }
 
     #[test]
@@ -704,5 +929,91 @@ mod tests {
         unsafe { pool.dispose(&mut other, &stats, n.as_ptr(), true) };
         pool.flush(&mut other, &stats);
         assert!(stats.pool_hits() >= 1);
+    }
+
+    #[test]
+    fn spliced_chain_is_reused_node_by_node() {
+        let pool = NodePool::for_node::<u64>(&cfg(1024, 8));
+        let stats = SmrStats::new();
+        let mut mag = pool.magazine();
+        let (head, tail) = chain_of(&pool, &mut mag, &stats, 8);
+        // SAFETY: an exclusively-owned chain of 8 payload-less nodes.
+        unsafe { pool.dispose_chain::<u64>(&mut mag, &stats, head as *mut _, tail as *mut _, 8) };
+        assert_eq!(mag.len(), 8, "a chain that fits stays in the magazine");
+        assert_eq!(pool.pooled(), 0);
+        let mut seen = Vec::new();
+        for i in 0..8 {
+            seen.push(pool.alloc(&mut mag, &stats, i));
+        }
+        assert!(mag.is_empty());
+        assert!(seen.iter().any(|n| n.as_ptr() as usize == head));
+        assert!(seen.iter().any(|n| n.as_ptr() as usize == tail));
+        for n in seen {
+            // SAFETY: exclusively owned, live payload.
+            unsafe { pool.dispose(&mut mag, &stats, n.as_ptr(), true) };
+        }
+        pool.flush(&mut mag, &stats);
+        assert_eq!(stats.pool_hits(), 8);
+        assert_eq!(stats.recycled(), 16);
+    }
+
+    #[test]
+    fn long_chain_goes_to_the_pool_and_refill_cuts_a_magazine_block() {
+        let pool = NodePool::for_node::<u64>(&cfg(1024, 4));
+        let stats = SmrStats::new();
+        let mut producer = pool.magazine();
+        let (head, tail) = chain_of(&pool, &mut producer, &stats, 10);
+        // SAFETY: an exclusively-owned chain of 10 payload-less nodes.
+        unsafe {
+            pool.dispose_chain::<u64>(&mut producer, &stats, head as *mut _, tail as *mut _, 10)
+        };
+        assert!(
+            producer.is_empty(),
+            "a chain longer than a magazine skips it"
+        );
+        assert_eq!(pool.pooled(), 10);
+        let mut consumer = pool.magazine();
+        let first = pool.alloc(&mut consumer, &stats, 1u64);
+        assert_eq!(
+            first.as_ptr() as usize,
+            head,
+            "the block's head comes first"
+        );
+        assert_eq!(consumer.len(), 3, "refill keeps one magazine of nodes");
+        assert_eq!(pool.pooled(), 6, "the rest went back as one block");
+        // SAFETY: exclusively owned, live payload.
+        unsafe { pool.dispose(&mut consumer, &stats, first.as_ptr(), true) };
+        pool.flush(&mut consumer, &stats);
+        pool.flush(&mut producer, &stats);
+        assert_eq!(pool.pooled(), 10);
+    }
+
+    #[test]
+    fn capacity_and_magazine_bound_cached_nodes() {
+        const CAPACITY: usize = 24;
+        const MAGAZINE: usize = 4;
+        let pool = NodePool::for_node::<u64>(&cfg(CAPACITY, MAGAZINE));
+        let stats = SmrStats::new();
+        let mut mags: Vec<Magazine> = (0..4).map(|_| pool.magazine()).collect();
+        for round in 0..50 {
+            for (m, mag) in mags.iter_mut().enumerate() {
+                let len = 1 + (round * 7 + m * 3) % 11;
+                let (head, tail) = chain_of(&pool, mag, &stats, len);
+                // SAFETY: an exclusively-owned chain of `len` nodes.
+                unsafe {
+                    pool.dispose_chain::<u64>(mag, &stats, head as *mut _, tail as *mut _, len)
+                };
+                assert!(mag.len() <= 2 * MAGAZINE, "magazine holds {}", mag.len());
+                assert!(pool.pooled() <= CAPACITY, "pool holds {}", pool.pooled());
+                if round % 3 == 0 {
+                    pool.flush(mag, &stats);
+                    assert!(pool.pooled() <= CAPACITY, "pool holds {}", pool.pooled());
+                }
+            }
+        }
+        for mag in mags.iter_mut() {
+            pool.flush(mag, &stats);
+        }
+        assert!(pool.pooled() <= CAPACITY);
     }
 }

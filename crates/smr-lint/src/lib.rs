@@ -2,9 +2,10 @@
 //! ratcheted baseline.
 //!
 //! The workspace carries hundreds of `unsafe` sites and `Ordering::Relaxed`
-//! uses. The stable toolchain it builds with has no Miri and no sanitizers,
-//! and no sanitizer suite (nightly, with the ASan/TSan runtimes) runs yet, so
-//! this crate is the repo's own static-analysis layer. A hand-written,
+//! uses. The stable toolchain it builds with has no Miri and no sanitizers;
+//! CI runs only the recycle suite and the scheme smoke matrix under nightly
+//! ASan, and nothing under TSan, so this crate is the repo's own
+//! static-analysis layer. A hand-written,
 //! comment/string-aware lexer ([`lexer`]) walks every production source
 //! file ([`walk`]) and enforces three rules ([`rules`]):
 //!

@@ -17,6 +17,15 @@
 //! 5. **Dummy nodes come from the pool too.** The padding of a partial batch
 //!    and the per-slot dummies an owned-slot batch grows by are allocations
 //!    like any other: each one is a pool hit or a pool miss.
+//! 6. **A freed batch goes to the pool whole.** Hyaline and Crystalline hand
+//!    a reclaimed batch over in one step, so `recycled` grows by exactly the
+//!    batch's node count, padding and owned-slot dummies included, and a
+//!    payload that needs `Drop` is dropped once, when the batch is freed,
+//!    never when its memory is reused.
+//! 7. **Pooled memory stays bounded under handle churn.** A sharded domain
+//!    whose handles are checked out and in for every operation keeps its
+//!    ledger balanced, and each shard's pool never holds more than
+//!    `recycle_capacity` nodes.
 //!
 //! Payload-level balance is asserted with [`DropRegistry`]-tracked values
 //! (a leak shows as a missing drop, a stale reissue as a double drop at the
@@ -24,9 +33,14 @@
 //! which recycling must not disturb — pooled residency is a property of the
 //! *memory*, not of the logical alloc/free ledger.
 
-use smr_core::{Atomic, Magazine, NodePool, Shared, Smr, SmrConfig, SmrHandle, SmrStats};
+use lockfree_ds::{ListNode, MichaelHashMap};
+use smr_core::{
+    Atomic, HandlePool, Magazine, NodePool, Sharded, Shared, Smr, SmrConfig, SmrHandle, SmrNode,
+    SmrStats,
+};
 use smr_testkit::{DropRegistry, Tracked};
-use std::sync::atomic::Ordering;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
 
 const THREADS: u64 = 4;
 const OPS_PER_THREAD: u64 = 2_000;
@@ -276,4 +290,254 @@ fn dummy_nodes_are_drawn_from_the_pool() {
     dummies_through_pool::<crystalline::CrystallineL<Tracked<u64>>>(&registry);
     dummies_through_pool::<crystalline::CrystallineW<Tracked<u64>>>(&registry);
     registry.assert_quiescent();
+}
+
+/// Scenario 6: one partial batch is flushed while six readers sit inside an
+/// operation, then freed by the last reader to leave. Shared slots pad it
+/// to `slots + 1` nodes; owned slots grow it by one dummy per active reader
+/// beyond its single insertion node. Either way the whole batch reaches the
+/// pool in one hand-off: `recycled` equals the batch's node count. The
+/// payload is a plain `u64`, so the hand-off visits no node at all.
+fn batch_recycled_whole<S: Smr<u64>>(nodes: u64) {
+    const READERS: usize = 6;
+    let domain = S::with_config(recycling(SmrConfig {
+        batch_min: 64,     // never filled: the flush is partial
+        era_freq: 1 << 20, // no era advance, so no reader goes stale
+        ..base_cfg()
+    }));
+    let link: Atomic<u64> = Atomic::null();
+    let inside = std::sync::Barrier::new(READERS + 1);
+    let flushed = std::sync::Barrier::new(READERS + 1);
+    std::thread::scope(|scope| {
+        for _ in 0..READERS {
+            scope.spawn(|| {
+                let mut h = domain.handle();
+                h.enter();
+                h.protect(0, &link); // publish a current access era
+                inside.wait();
+                flushed.wait();
+                h.leave();
+            });
+        }
+        let mut w = domain.handle();
+        inside.wait();
+        w.enter();
+        let node = w.alloc(7);
+        // SAFETY: `node` was never published; no other reference exists.
+        unsafe { w.retire(node) };
+        w.leave();
+        w.flush();
+        flushed.wait();
+    });
+    let stats = domain.stats();
+    assert_eq!(stats.allocated(), nodes, "{}: batch size", S::name());
+    assert_eq!(stats.freed(), nodes, "{}: batch not freed", S::name());
+    assert_eq!(
+        stats.recycled(),
+        nodes,
+        "{}: the freed batch did not reach the pool whole",
+        S::name()
+    );
+}
+
+#[test]
+fn freed_batch_is_recycled_whole_with_its_padding_and_dummies() {
+    // base_cfg has 4 shared slots: 1 node + 4 padding dummies.
+    batch_recycled_whole::<hyaline::Hyaline<u64>>(5);
+    batch_recycled_whole::<hyaline::HyalineS<u64>>(5);
+    // Owned slots: 1 node + 1 padding dummy, whose head is the insertion
+    // node of the first active reader; 5 more readers each take a dummy.
+    batch_recycled_whole::<hyaline::Hyaline1<u64>>(7);
+    batch_recycled_whole::<hyaline::Hyaline1S<u64>>(7);
+    batch_recycled_whole::<crystalline::CrystallineL<u64>>(7);
+    batch_recycled_whole::<crystalline::CrystallineW<u64>>(7);
+}
+
+/// A payload that needs `Drop` is dropped exactly once, when the scheme
+/// frees its batch; reusing the node's memory afterwards drops nothing.
+fn payload_drops_at_free<S: Smr<Tracked<u64>>>() {
+    const N: u64 = 32;
+    let registry = DropRegistry::new();
+    let domain = S::with_config(recycling(base_cfg()));
+    let mut h = domain.handle();
+    h.enter();
+    for i in 0..N {
+        let node = h.alloc(registry.track(i));
+        // SAFETY: `node` was never published; no other reference exists.
+        unsafe { h.retire(node) };
+    }
+    h.leave();
+    h.flush(); // the last partial batch: no thread is inside, so it frees
+    assert_eq!(
+        domain.stats().retired(),
+        domain.stats().freed(),
+        "{}",
+        S::name()
+    );
+    assert_eq!(
+        registry.dropped(),
+        N,
+        "{}: payloads must drop when their batch is freed",
+        S::name()
+    );
+    h.enter();
+    let reused: Vec<_> = (0..N).map(|i| h.alloc(registry.track(N + i))).collect();
+    assert_eq!(
+        registry.dropped(),
+        N,
+        "{}: reusing node memory dropped a payload",
+        S::name()
+    );
+    for node in reused {
+        // SAFETY: never published; no other reference exists.
+        unsafe { h.retire(node) };
+    }
+    h.leave();
+    h.flush();
+    drop(h);
+    assert!(
+        domain.stats().pool_hits() >= N,
+        "{}: the second round did not reuse the freed memory",
+        S::name()
+    );
+    assert_eq!(registry.dropped(), 2 * N, "{}", S::name());
+    registry.assert_quiescent();
+}
+
+#[test]
+fn payload_drops_once_at_free_not_at_reuse() {
+    payload_drops_at_free::<hyaline::Hyaline<Tracked<u64>>>();
+    payload_drops_at_free::<hyaline::Hyaline1<Tracked<u64>>>();
+    payload_drops_at_free::<hyaline::HyalineS<Tracked<u64>>>();
+    payload_drops_at_free::<hyaline::Hyaline1S<Tracked<u64>>>();
+    payload_drops_at_free::<crystalline::CrystallineL<Tracked<u64>>>();
+    payload_drops_at_free::<crystalline::CrystallineW<Tracked<u64>>>();
+}
+
+/// A value whose map node has a layout no other test in this binary
+/// allocates, so [`CountingAlloc`] can count exactly those nodes.
+#[derive(Clone, Debug)]
+#[repr(align(64))]
+struct Wide(#[allow(dead_code)] u64);
+
+type WideNode = ListNode<u64, Wide>;
+
+/// Live allocations with the layout of `SmrNode<WideNode>`.
+static WIDE_LIVE: AtomicIsize = AtomicIsize::new(0);
+
+/// The system allocator, counting live `SmrNode<WideNode>` allocations:
+/// the real memory the pool holds, wherever it sits.
+struct CountingAlloc;
+
+fn is_wide(layout: Layout) -> bool {
+    layout == Layout::new::<SmrNode<WideNode>>()
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter has no
+// effect on the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if is_wide(layout) {
+            WIDE_LIVE.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded `GlobalAlloc::alloc` contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if is_wide(layout) {
+            WIDE_LIVE.fetch_sub(1, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded `GlobalAlloc::dealloc` contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Scenario 7: the kv-service pattern on a small pool. Every operation
+/// checks a handle out of a `HandlePool`, runs one map operation on a
+/// `Sharded<Hyaline>` map, and checks it in again (which flushes the
+/// handle's batches; its magazines stay with the parked handle).
+#[test]
+fn sharded_checkout_loop_stays_balanced_and_bounded() {
+    const SHARDS: usize = 2;
+    const CAPACITY: usize = 24;
+    const MAGAZINE: usize = 4;
+    const HANDLES: usize = 2;
+    const OPS: u64 = 4_000;
+    type Map = MichaelHashMap<u64, Wide, Sharded<hyaline::Hyaline<WideNode>>>;
+    let config = SmrConfig {
+        shards: SHARDS,
+        recycle: true,
+        recycle_capacity: CAPACITY,
+        recycle_magazine: MAGAZINE,
+        ..base_cfg()
+    };
+    let before = WIDE_LIVE.load(Ordering::Relaxed);
+    {
+        let map = Map::with_config(config);
+        let pool = HandlePool::new(map.domain(), HANDLES);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (map, pool) = (&map, &pool);
+                scope.spawn(move || {
+                    for i in 0..OPS {
+                        let key = (i * 7 + t * 13) % 64;
+                        let mut h = pool.checkout();
+                        h.enter();
+                        if i % 2 == 0 {
+                            map.insert(&mut *h, key, Wide(i));
+                        } else {
+                            map.remove(&mut *h, &key);
+                        }
+                        h.leave();
+                    } // each guard drop flushes and parks its handle
+                });
+            }
+        });
+        {
+            let mut h = pool.checkout();
+            for key in 0..64 {
+                h.enter();
+                map.remove(&mut *h, &key);
+                h.leave();
+            }
+        }
+        let stats = map.domain().stats();
+        assert_eq!(
+            stats.pool_hits() + stats.pool_misses(),
+            stats.allocated(),
+            "an allocation bypassed the recycle pool"
+        );
+        assert_eq!(stats.retired(), stats.freed(), "retired nodes left unfreed");
+        assert!(
+            stats.recycled() > (SHARDS * CAPACITY) as u64,
+            "the loop never filled the pools (recycled = {})",
+            stats.recycled()
+        );
+        // The map is empty, so the only node memory left sits in the
+        // shards' pools and in the parked handles' magazines: at most two
+        // chains of `MAGAZINE` nodes per handle and shard.
+        let cached = WIDE_LIVE.load(Ordering::Relaxed) - before;
+        let magazines = HANDLES * SHARDS * 2 * MAGAZINE;
+        assert!(
+            cached <= (SHARDS * CAPACITY + magazines) as isize,
+            "{cached} nodes cached: {SHARDS} pools of {CAPACITY} plus {magazines} in magazines"
+        );
+        // Dropping the handles gives their magazines back; what the pools
+        // cannot hold is freed, so each pool ends within its capacity.
+        drop(pool);
+        let pooled = WIDE_LIVE.load(Ordering::Relaxed) - before;
+        assert!(
+            pooled <= (SHARDS * CAPACITY) as isize,
+            "{pooled} nodes pooled across {SHARDS} shards of capacity {CAPACITY}"
+        );
+    }
+    assert_eq!(
+        WIDE_LIVE.load(Ordering::Relaxed),
+        before,
+        "domain drop leaked pooled nodes"
+    );
 }
