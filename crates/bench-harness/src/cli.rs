@@ -11,9 +11,7 @@
 //! `--handle-churn N` (`HYALINE_BENCH_HANDLE_CHURN`) makes workers return
 //! their handles to a shared pool every `N` operations,
 //! `--connections N` (`HYALINE_BENCH_CONNECTIONS`) sets the simulated
-//! connection count of the async `kv-service` sweep,
-//! `--recycle on|off` (`HYALINE_BENCH_RECYCLE`) toggles the node-recycling
-//! layer (reclaimed nodes feed a per-domain pool that `alloc` reuses), and
+//! connection count of the async `kv-service` sweep, and
 //! `--max-threads N` (`HYALINE_BENCH_MAX_THREADS`) pins the registry/pool
 //! capacity (set it below the thread count to exercise oversubscribed
 //! pooling with host-independent perf-gate keys).
@@ -75,15 +73,6 @@ fn parse_nonzero(raw: &str) -> Option<usize> {
     raw.parse().ok().filter(|v: &usize| *v > 0)
 }
 
-/// Parses an on/off toggle (`on`/`off`, `true`/`false`, `1`/`0`).
-fn parse_bool(raw: &str) -> Option<bool> {
-    match raw {
-        "on" | "true" | "1" => Some(true),
-        "off" | "false" | "0" => Some(false),
-        _ => None,
-    }
-}
-
 /// Parses a comma-separated list of counts, rejecting the whole value if
 /// any entry is unparsable (so `1,x,8` cannot silently become `[1,8]`).
 fn parse_list(s: &str) -> Result<Vec<usize>, String> {
@@ -126,9 +115,6 @@ impl Default for BenchScale {
                     // runs need Ack saturation (stalled-slot avoidance) to
                     // kick in correspondingly sooner.
                     ack_threshold: 256,
-                    // Off, like `BenchParams::default()`, so new records key
-                    // as the committed baselines do; `--recycle on` opts in.
-                    recycle: false,
                     ..SmrConfig::default()
                 },
                 ..BenchParams::default()
@@ -190,11 +176,6 @@ impl BenchScale {
         scalar("HYALINE_BENCH_CONNECTIONS", "a number", &mut |raw| {
             raw.parse().map(|v| self.base.connections = v).is_ok()
         });
-        scalar("HYALINE_BENCH_RECYCLE", "on or off", &mut |raw| {
-            parse_bool(raw)
-                .map(|v| self.base.config.recycle = v)
-                .is_some()
-        });
         scalar("HYALINE_BENCH_MAX_THREADS", "a nonzero count", &mut |raw| {
             parse_nonzero(raw)
                 .map(|v| self.base.config.max_threads = v)
@@ -242,7 +223,6 @@ impl BenchScale {
                     | "--handle-churn"
                     | "--connections"
                     | "--max-threads"
-                    | "--recycle"
             );
             if !known {
                 i += 1;
@@ -261,9 +241,6 @@ impl BenchScale {
                     .is_some(),
                 "--handle-churn" => raw.parse().map(|v| self.base.handle_churn = v).is_ok(),
                 "--connections" => raw.parse().map(|v| self.base.connections = v).is_ok(),
-                "--recycle" => parse_bool(raw)
-                    .map(|v| self.base.config.recycle = v)
-                    .is_some(),
                 "--max-threads" => parse_nonzero(raw)
                     .map(|v| self.base.config.max_threads = v)
                     .is_some(),
@@ -293,7 +270,6 @@ impl BenchScale {
                     "--slots" | "--shards" => "a power of two",
                     "--routing" => "by-key or by-pointer",
                     "--max-threads" => "a nonzero count",
-                    "--recycle" => "on or off",
                     "--threads" | "--stalled" => "a comma-separated list of counts",
                     _ => "a number",
                 };
@@ -389,22 +365,6 @@ mod tests {
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert_eq!(scale.base.config.slots, default_slots);
         assert_eq!(scale.base.config.shards, 8);
-    }
-
-    #[test]
-    fn recycle_flag_toggles_and_rejects_junk() {
-        let mut scale = BenchScale::default();
-        assert!(!scale.base.config.recycle);
-        let warnings = scale.apply_args(&strings(&["--recycle", "on"]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert!(scale.base.config.recycle);
-        let warnings = scale.apply_args(&strings(&["--recycle", "maybe"]));
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("on or off"), "{warnings:?}");
-        assert!(scale.base.config.recycle, "bad value must keep previous");
-        let warnings = scale.apply_args(&strings(&["--recycle", "0"]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert!(!scale.base.config.recycle);
     }
 
     #[test]

@@ -283,14 +283,19 @@ mod tests {
         assert!(sink
             .records()
             .iter()
-            .any(|r| r.scheme == "Epoch" && r.threads == 2 && r.figure == "Fig 8c"));
+            .any(|r| r.param("scheme") == Some(&"Epoch".into())
+                && r.param("threads") == Some(&2usize.into())
+                && r.figure == "Fig 8c"));
         // The table cell and the record carry the same measurement.
         let rec = sink
             .records()
             .iter()
-            .find(|r| r.scheme == "Hyaline" && r.threads == 1)
+            .find(|r| {
+                r.param("scheme") == Some(&"Hyaline".into())
+                    && r.param("threads") == Some(&1usize.into())
+            })
             .unwrap();
-        assert_eq!(tput.value(1, "Hyaline"), Some(rec.mops));
+        assert_eq!(tput.value(1, "Hyaline"), rec.metric("mops"));
     }
 
     #[test]
@@ -306,16 +311,16 @@ mod tests {
         let adaptive = sink
             .records()
             .iter()
-            .find(|r| r.scheme == "Hyaline-S-adaptive")
+            .find(|r| r.param("scheme") == Some(&"Hyaline-S-adaptive".into()))
             .expect("adaptive series recorded");
-        assert!(adaptive.adaptive);
-        assert_eq!(adaptive.slots, 4);
+        assert_eq!(adaptive.param("adaptive"), Some(&true.into()));
+        assert_eq!(adaptive.param("slots"), Some(&4usize.into()));
         let capped = sink
             .records()
             .iter()
-            .find(|r| r.scheme == "Hyaline-S")
+            .find(|r| r.param("scheme") == Some(&"Hyaline-S".into()))
             .expect("capped series recorded");
-        assert!(!capped.adaptive);
+        assert_eq!(capped.param("adaptive"), Some(&false.into()));
     }
 
     #[test]

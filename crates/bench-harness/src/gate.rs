@@ -1,7 +1,7 @@
 //! The perf-regression gate: compares two JSONL result files.
 //!
-//! Records are grouped by configuration key (scheme, structure, mix,
-//! threads, stalled, trim mode), duplicate records per key are averaged
+//! Records are grouped by configuration key (every param but `trials`, see
+//! [`ComboKey`]), duplicate records per key are averaged
 //! (repeated sweeps appended to the same file act as extra trials), and each
 //! key present in both files gets a per-metric verdict with a noise band:
 //!
@@ -16,7 +16,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::results::BenchRecord;
+use crate::driver::BenchParams;
+use crate::results::{params_of, BenchRecord, Fields, Value, GATED_METRICS};
 
 /// Noise bands used by [`compare`].
 #[derive(Debug, Clone, Copy)]
@@ -39,149 +40,50 @@ impl Default for Tolerance {
     }
 }
 
-/// Identifies one benchmark configuration across files.
+/// Identifies one benchmark configuration across files: a record's params
+/// without `trials`.
 ///
-/// The key covers *every* parameter that shapes the measurement — the
+/// The params cover *every* parameter that shapes the measurement — the
 /// workload (mix, threads, stalled, duration, prefill, key range, seed,
 /// sampling, trim window) and the full `SmrConfig` — so records measured
 /// under different configurations are never averaged together or compared
-/// as if they were trials of one another. Only metrics and environment
+/// as if they were trials of one another. Only `trials` (duplicate records
+/// of one key average as extra trials), the figure label, metrics and
 /// provenance (git sha, host cores, timestamp) stay out of the key: those
 /// are what the gate compares *across*.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ComboKey {
-    /// Scheme series name.
-    pub scheme: String,
-    /// Structure name.
-    pub structure: String,
-    /// Operation-mix short label.
-    pub mix: String,
-    /// Active threads.
-    pub threads: u64,
-    /// Stalled threads.
-    pub stalled: u64,
-    /// Trim-driven operations.
-    pub use_trim: bool,
-    /// Measured seconds per trial, as raw bits (`f64` is not `Ord`;
-    /// bit-equality is exactly what "same configuration" means here).
-    pub secs_bits: u64,
-    /// Elements prefilled.
-    pub prefill: u64,
-    /// Key range.
-    pub key_range: u64,
-    /// Sampling period.
-    pub sample_every: u64,
-    /// Trim window.
-    pub trim_window: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// `SmrConfig`: slot count.
-    pub slots: u64,
-    /// `SmrConfig`: minimum batch size.
-    pub batch_min: u64,
-    /// `SmrConfig`: era-advance frequency.
-    pub era_freq: u64,
-    /// `SmrConfig`: scan threshold.
-    pub scan_threshold: u64,
-    /// `SmrConfig`: protection indices.
-    pub max_protect: u64,
-    /// `SmrConfig`: Ack saturation threshold.
-    pub ack_threshold: i64,
-    /// `SmrConfig`: adaptive resizing.
-    pub adaptive: bool,
-    /// `SmrConfig`: registry capacity.
-    pub max_threads: u64,
-    /// `SmrConfig`: shard count (1 = unsharded).
-    pub shards: u64,
-    /// Operations per pooled-handle checkout (0 = no handle churn).
-    pub handle_churn: u64,
-    /// Shard routing mode label ("by-key" / "by-pointer").
-    pub routing: String,
-    /// Crystalline handoff threshold (pre-schema-4 lines decode as 8).
-    pub handoff_attempts: u64,
-    /// Node recycling enabled (pre-schema-5 lines decode as false).
-    pub recycle: bool,
-    /// Recycle-pool capacity as configured.
-    pub recycle_capacity: u64,
-    /// Recycle-magazine capacity as configured.
-    pub recycle_magazine: u64,
-    /// Simulated connections (0 = thread-driven run).
-    pub connections: u64,
-}
+pub struct ComboKey(Fields);
+
+/// Params named in a key's display header rather than its suffix.
+const HEADER: [&str; 4] = ["scheme", "structure", "mix", "threads"];
 
 impl ComboKey {
     fn of(r: &BenchRecord) -> Self {
-        Self {
-            scheme: r.scheme.clone(),
-            structure: r.structure.clone(),
-            mix: r.mix.clone(),
-            threads: r.threads,
-            stalled: r.stalled,
-            use_trim: r.use_trim,
-            secs_bits: r.secs.to_bits(),
-            prefill: r.prefill,
-            key_range: r.key_range,
-            sample_every: r.sample_every,
-            trim_window: r.trim_window,
-            seed: r.seed,
-            slots: r.slots,
-            batch_min: r.batch_min,
-            era_freq: r.era_freq,
-            scan_threshold: r.scan_threshold,
-            max_protect: r.max_protect,
-            ack_threshold: r.ack_threshold,
-            adaptive: r.adaptive,
-            max_threads: r.max_threads,
-            shards: r.shards,
-            handle_churn: r.handle_churn,
-            routing: r.routing.clone(),
-            handoff_attempts: r.handoff_attempts,
-            recycle: r.recycle,
-            recycle_capacity: r.recycle_capacity,
-            recycle_magazine: r.recycle_magazine,
-            connections: r.connections,
-        }
+        Self(r.params.iter().filter(|(n, _)| n != "trials").cloned().collect())
+    }
+
+    /// The param called `name`, if the key has one.
+    pub fn param(&self, name: &str) -> Option<&Value> {
+        self.0.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 }
 
 impl fmt::Display for ComboKey {
+    /// `scheme/structure mix t=threads`, then `name=value` for every other
+    /// param that differs from [`BenchParams::default`], so two distinct
+    /// keys never print alike.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} {} t={}",
-            self.scheme, self.structure, self.mix, self.threads
-        )?;
-        if self.stalled > 0 {
-            write!(f, " stalled={}", self.stalled)?;
+        let [scheme, structure, mix, threads] =
+            HEADER.map(|n| self.param(n).map(Value::to_string).unwrap_or_default());
+        write!(f, "{scheme}/{structure} {mix} t={threads}")?;
+        let defaults = params_of("", "", &BenchParams::default());
+        for (name, value) in &self.0 {
+            let default = defaults.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+            if !HEADER.contains(&name.as_str()) && default != Some(value) {
+                write!(f, " {name}={value}")?;
+            }
         }
-        if self.use_trim {
-            write!(f, " trim")?;
-        }
-        // Enough of the configuration to tell colliding-looking lines
-        // apart; the JSONL files hold the rest.
-        if self.shards > 1 {
-            write!(f, " shards={} routing={}", self.shards, self.routing)?;
-        }
-        if self.handle_churn > 0 {
-            write!(f, " churn={}", self.handle_churn)?;
-        }
-        if self.connections > 0 {
-            write!(f, " conns={}", self.connections)?;
-        }
-        if self.handoff_attempts != 8 {
-            write!(f, " handoff={}", self.handoff_attempts)?;
-        }
-        if self.recycle {
-            write!(f, " recycle")?;
-        }
-        write!(
-            f,
-            " [secs={} range={} slots={}{}]",
-            f64::from_bits(self.secs_bits),
-            self.key_range,
-            self.slots,
-            if self.adaptive { " adaptive" } else { "" },
-        )
+        Ok(())
     }
 }
 
@@ -353,9 +255,13 @@ struct Averaged {
 fn aggregate(records: &[BenchRecord]) -> BTreeMap<ComboKey, Averaged> {
     let mut map: BTreeMap<ComboKey, Averaged> = BTreeMap::new();
     for r in records {
+        let [mops, unreclaimed] = GATED_METRICS.map(|m| {
+            r.metric(m)
+                .unwrap_or_else(|| panic!("record without the gated metric `{m}`"))
+        });
         let e = map.entry(ComboKey::of(r)).or_default();
-        e.mops += r.mops;
-        e.unreclaimed += r.avg_unreclaimed;
+        e.mops += mops;
+        e.unreclaimed += unreclaimed;
         e.n += 1;
     }
     for e in map.values_mut() {
@@ -408,8 +314,8 @@ pub fn compare(baseline: &[BenchRecord], candidate: &[BenchRecord], tol: Toleran
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{BenchParams, RunResult};
-    use crate::results::{BenchRecord, Provenance};
+    use crate::driver::RunResult;
+    use crate::results::Provenance;
     use crate::workload::OpMix;
 
     fn record(scheme: &str, threads: usize, mops: f64, unreclaimed: f64) -> BenchRecord {
@@ -510,8 +416,8 @@ mod tests {
         assert!(!report.has_regression());
         assert_eq!(report.only_in_baseline.len(), 1);
         assert_eq!(report.only_in_candidate.len(), 1);
-        assert_eq!(report.only_in_baseline[0].scheme, "Epoch");
-        assert_eq!(report.only_in_candidate[0].scheme, "HP");
+        assert_eq!(report.only_in_baseline[0].param("scheme"), Some(&"Epoch".into()));
+        assert_eq!(report.only_in_candidate[0].param("scheme"), Some(&"HP".into()));
         let text = report.to_string();
         assert!(text.contains("missing from candidate"));
         assert!(text.contains("new in candidate"));
@@ -523,7 +429,7 @@ mod tests {
         // Same scheme/structure/mix/threads but a different key range:
         // a different experiment, so the records must not be compared.
         let mut b = record("Hyaline", 4, 2.0, 0.0);
-        b.key_range = 100_000;
+        b.set_param("key_range", 100_000u64);
         let report = compare(
             std::slice::from_ref(&a),
             std::slice::from_ref(&b),
@@ -536,7 +442,7 @@ mod tests {
         // Within one file, different SmrConfigs keep separate keys instead
         // of silently averaging (e.g. capped vs default slots).
         let mut c = record("Hyaline", 4, 100.0, 0.0);
-        c.slots += 1;
+        c.set_param("slots", BenchParams::default().config.slots + 1);
         let report = compare(&[a.clone(), c.clone()], &[a, c], Tolerance::default());
         assert_eq!(report.comparisons.len(), 2);
         assert!(!report.has_regression());
@@ -548,9 +454,9 @@ mod tests {
         // be averaged with (or compared against) the plain configuration.
         let plain = record("Hyaline", 4, 10.0, 0.0);
         let mut sharded = record("Hyaline", 4, 14.0, 0.0);
-        sharded.shards = 4;
+        sharded.set_param("shards", 4usize);
         let mut churn = record("Hyaline", 4, 6.0, 0.0);
-        churn.handle_churn = 32;
+        churn.set_param("handle_churn", 32u64);
         let file = vec![plain, sharded.clone(), churn];
         let report = compare(&file, &file, Tolerance::default());
         assert_eq!(report.comparisons.len(), 3);
@@ -561,17 +467,20 @@ mod tests {
 
     #[test]
     fn recycling_configs_key_separately() {
-        // A pooled (recycle on) run of the same scheme must not be averaged
-        // with or compared against the malloc configuration.
-        let malloc = record("Hyaline", 4, 10.0, 0.0);
-        let mut pooled = record("Hyaline", 4, 13.0, 0.0);
-        pooled.recycle = true;
-        let file = vec![malloc, pooled.clone()];
+        // A malloc (recycle off) run of the same scheme must not be averaged
+        // with or compared against the pooled default configuration.
+        let pooled = record("Hyaline", 4, 13.0, 0.0);
+        let mut malloc = record("Hyaline", 4, 10.0, 0.0);
+        malloc.set_param("recycle", false);
+        let file = vec![pooled.clone(), malloc.clone()];
         let report = compare(&file, &file, Tolerance::default());
         assert_eq!(report.comparisons.len(), 2);
         assert!(!report.has_regression());
+        // The display names the non-default side only.
+        let line = ComboKey::of(&malloc).to_string();
+        assert!(line.contains(" recycle=false"), "{line}");
         let line = ComboKey::of(&pooled).to_string();
-        assert!(line.contains(" recycle"), "{line}");
+        assert!(!line.contains("recycle"), "{line}");
     }
 
     #[test]

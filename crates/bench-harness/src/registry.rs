@@ -216,12 +216,12 @@ mod tests {
         assert!(run_combo_recorded("f", "Epoch", "Epoch", "list", &p, &mut None).is_some());
         assert_eq!(sink.records().len(), 1);
         let rec = &sink.records()[0];
-        assert_eq!(rec.scheme, "Hyaline-S-adaptive");
-        assert_eq!(rec.structure, "hashmap");
-        assert_eq!(rec.mix, "write-intensive");
-        assert_eq!(rec.threads, p.threads as u64);
-        assert_eq!(rec.slots, p.config.slots as u64);
-        assert_eq!(rec.git_sha.as_deref(), Some("deadbeef"));
-        assert_eq!(rec.mops, r.mops);
+        assert_eq!(rec.param("scheme"), Some(&"Hyaline-S-adaptive".into()));
+        assert_eq!(rec.param("structure"), Some(&"hashmap".into()));
+        assert_eq!(rec.param("mix"), Some(&"write-intensive".into()));
+        assert_eq!(rec.param("threads"), Some(&p.threads.into()));
+        assert_eq!(rec.param("slots"), Some(&p.config.slots.into()));
+        assert_eq!(rec.provenance.git_sha.as_deref(), Some("deadbeef"));
+        assert_eq!(rec.metric("mops"), Some(r.mops));
     }
 }

@@ -1,143 +1,227 @@
 //! Persistent benchmark results: a dependency-free JSONL record format.
 //!
-//! Every measured run can be serialized as one JSON object per line (JSONL)
-//! carrying the full configuration provenance — scheme, structure, operation
-//! mix, every [`BenchParams`]/[`smr_core::SmrConfig`] field, the git
-//! revision, the host core count, and a caller-supplied timestamp — plus the
-//! [`RunResult`] metrics. Files accumulate across runs (`append`), so the
-//! repository's `BENCH_sweep.jsonl` becomes a trajectory of the project's
-//! performance over time, and `perfgate` (see [`crate::gate`]) can compare
-//! any two snapshots.
+//! Every measured run can be serialized as one JSON object per line
+//! (JSONL). A record is a figure label, two ordered name/value lists and
+//! the host/build [`Provenance`]:
+//!
+//! ```text
+//! {"figure":"thread-scaling",
+//!  "params":{"scheme":"Hyaline","structure":"hashmap","mix":"write-intensive","threads":2,...},
+//!  "metrics":{"mops":20.56,"avg_unreclaimed":16.89,"ops":3084043,...},
+//!  "git_sha":"dd9efb36e661","host_cores":2,"timestamp":"1785367779"}
+//! ```
+//!
+//! (one line in the file). `params` holds everything that shapes the
+//! measurement — scheme, structure, operation mix and every
+//! [`BenchParams`]/[`smr_core::SmrConfig`] knob — and `metrics` holds the
+//! [`RunResult`] numbers. [`params_of`] and [`BenchRecord::from_run`] are
+//! the only places that name a knob or a metric: the encoder, the decoder
+//! and the perf gate's key ([`crate::gate::ComboKey`]) loop over the lists,
+//! so a new knob or metric is one line there. A new knob changes the key of
+//! every record that carries it, so gated baselines are re-recorded in the
+//! same change.
+//!
+//! Files accumulate across runs (`append`), so the repository's
+//! `BENCH_sweep.jsonl` becomes a trajectory of the project's performance
+//! over time, and `perfgate` (see [`crate::gate`]) can compare any two
+//! snapshots.
 //!
 //! The build environment is offline (no serde), so the encoder and decoder
-//! are hand-rolled here: the encoder emits one flat JSON object per record,
-//! and the decoder is a minimal JSON parser that ignores unknown fields
-//! (forward compatibility) and fails loudly on missing or ill-typed ones.
+//! are hand-rolled here. The decoder is a minimal JSON parser that ignores
+//! unknown top-level fields and fails loudly on missing or ill-typed ones.
+//! A number's type is its spelling: floats are always written with a `.`,
+//! integers never are.
 
-use std::fmt::Write as _;
+use std::cmp::Ordering;
+use std::fmt::{self, Write as _};
 use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::Path;
 
 use crate::driver::{BenchParams, RunResult};
 
-/// Version stamp written into every record (`"schema"` field).
+/// The metrics the perf gate compares; a record without them does not
+/// decode. `avg_unreclaimed` holds the *peak* in `stalled-reader` and
+/// `kv-service` records.
+pub const GATED_METRICS: [&str; 2] = ["mops", "avg_unreclaimed"];
+
+/// One parameter or metric value.
 ///
-/// Version 2 added `shards`, `handle_churn` and `routing`; version-1 lines
-/// decode with the pre-sharding defaults (`shards = 1`, `handle_churn = 0`,
-/// `routing = "by-key"`). Version 3 added `connections` (the async
-/// `kv-service` sweep's simulated-connection count); earlier lines decode
-/// with `connections = 0`, i.e. "not a connection-driven run". Version 4
-/// added `handoff_attempts` (the Crystalline wait-free handoff threshold);
-/// earlier lines decode with the config default of `8`, which is what every
-/// pre-Crystalline run implicitly carried. Version 5 added the node-recycling
-/// knobs (`recycle`, `recycle_capacity`, `recycle_magazine`) and pool metrics
-/// (`pool_hits`, `pool_misses`, `recycled`); earlier lines decode with
-/// recycling off (`recycle = false`, the knob defaults of `8192`/`64`, zero
-/// pool counters) — exactly what every pre-recycling run measured.
-pub const SCHEMA_VERSION: u64 = 5;
+/// Equality and order are total: floats compare by [`f64::total_cmp`], so
+/// two values are equal exactly when their bits are, which is what "same
+/// configuration" means for a perf-gate key.
+#[derive(Debug, Clone)]
+pub enum Value {
+    /// An integer; every `u64` and every `i64` fits.
+    Int(i128),
+    /// A float.
+    Float(f64),
+    /// A flag.
+    Bool(bool),
+    /// A label (scheme, structure, mix, routing mode).
+    Str(String),
+}
+
+impl Value {
+    /// The value as a float, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Value::Int(i) => Some(i as f64),
+            Value::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    fn rank(&self) -> u8 {
+        match self {
+            Value::Int(_) => 0,
+            Value::Float(_) => 1,
+            Value::Bool(_) => 2,
+            Value::Str(_) => 3,
+        }
+    }
+}
+
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Value {}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Str(s) => f.write_str(s),
+        }
+    }
+}
+
+macro_rules! int_value {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Self {
+                Value::Int(v as i128)
+            }
+        }
+    )*};
+}
+int_value!(u64, i64, usize);
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Float(v)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Str(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Str(v)
+    }
+}
+
+/// An ordered list of named values: a record's params or its metrics.
+pub type Fields = Vec<(String, Value)>;
+
+fn fields<const N: usize>(list: [(&str, Value); N]) -> Fields {
+    list.into_iter().map(|(n, v)| (n.to_string(), v)).collect()
+}
+
+fn get<'a>(list: &'a Fields, name: &str) -> Option<&'a Value> {
+    list.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+}
+
+fn set(list: &mut Fields, name: &str, value: Value) {
+    match list.iter_mut().find(|(n, _)| n == name) {
+        Some((_, v)) => *v = value,
+        None => list.push((name.to_string(), value)),
+    }
+}
+
+/// The params of one run, in record order: everything that shapes the
+/// measurement. The perf gate keys on all of them except `trials`.
+pub fn params_of(scheme: &str, structure: &str, p: &BenchParams) -> Fields {
+    let c = &p.config;
+    fields([
+        ("scheme", scheme.into()),
+        ("structure", structure.into()),
+        ("mix", p.mix.short_label().into()),
+        ("threads", p.threads.into()),
+        ("stalled", p.stalled.into()),
+        ("use_trim", p.use_trim.into()),
+        ("secs", p.secs.into()),
+        ("trials", p.trials.into()),
+        ("prefill", p.prefill.into()),
+        ("key_range", p.key_range.into()),
+        ("sample_every", p.sample_every.into()),
+        ("trim_window", p.trim_window.into()),
+        ("seed", p.seed.into()),
+        ("slots", c.slots.into()),
+        ("batch_min", c.batch_min.into()),
+        ("era_freq", c.era_freq.into()),
+        ("scan_threshold", c.scan_threshold.into()),
+        ("max_protect", c.max_protect.into()),
+        ("ack_threshold", c.ack_threshold.into()),
+        ("adaptive", c.adaptive.into()),
+        ("max_threads", c.max_threads.into()),
+        // Recorded as configured: plain schemes ignore `shards`, `routing`
+        // and `handoff_attempts`, but the gate keys on the full config.
+        ("shards", c.shards.into()),
+        ("handle_churn", p.handle_churn.into()),
+        ("routing", c.routing.short_label().into()),
+        ("handoff_attempts", c.handoff_attempts.into()),
+        ("recycle", c.recycle.into()),
+        ("recycle_capacity", c.recycle_capacity.into()),
+        ("recycle_magazine", c.recycle_magazine.into()),
+        ("connections", p.connections.into()),
+    ])
+}
 
 /// One benchmark measurement with full configuration provenance.
-///
-/// The struct is flat so that encode→decode equality is a plain field-wise
-/// comparison; [`BenchRecord::from_run`] flattens [`BenchParams`] (and the
-/// embedded [`smr_core::SmrConfig`]) into it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Format version ([`SCHEMA_VERSION`] at write time).
-    pub schema: u64,
     /// Which figure/sweep produced the record (e.g. `Fig 8c`, `thread-scaling`).
     pub figure: String,
-    /// Scheme series name (e.g. `Hyaline-S-adaptive`).
-    pub scheme: String,
-    /// Structure name (e.g. `hashmap`).
-    pub structure: String,
-    /// Operation mix short label (e.g. `write-intensive`).
-    pub mix: String,
-    /// Active worker threads.
-    pub threads: u64,
-    /// Stalled threads parked inside an operation.
-    pub stalled: u64,
-    /// Measured seconds per trial.
-    pub secs: f64,
-    /// Trials averaged into the result.
-    pub trials: u64,
-    /// Elements prefilled.
-    pub prefill: u64,
-    /// Key range.
-    pub key_range: u64,
-    /// Unreclaimed-count sampling period (operations).
-    pub sample_every: u64,
-    /// Whether §3.3 `trim` drove the operations.
-    pub use_trim: bool,
-    /// Operations between forced leaves when trimming.
-    pub trim_window: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Hyaline slot count (`k`).
-    pub slots: u64,
-    /// Minimum local batch size.
-    pub batch_min: u64,
-    /// Era/epoch advance frequency.
-    pub era_freq: u64,
-    /// Reclamation-scan threshold of the scan-based schemes.
-    pub scan_threshold: u64,
-    /// Protection indices per thread (HP/HE).
-    pub max_protect: u64,
-    /// Hyaline-S stall-detection threshold.
-    pub ack_threshold: i64,
-    /// §4.3 adaptive slot resizing enabled.
-    pub adaptive: bool,
-    /// Thread-registry capacity.
-    pub max_threads: u64,
-    /// Shard count *as configured* (`1` = unsharded). Recorded verbatim
-    /// from the run's `SmrConfig`: plain schemes ignore the knob, but the
-    /// gate keys on the full configuration, so a sweep that sets `--shards`
-    /// stamps every record it produces.
-    pub shards: u64,
-    /// Operations per pooled-handle checkout (`0` = one handle per thread
-    /// for the whole run).
-    pub handle_churn: u64,
-    /// Shard routing mode as configured (`"by-key"` / `"by-pointer"`;
-    /// meaningful only to `Sharded-*` schemes, recorded verbatim).
-    pub routing: String,
-    /// Crystalline wait-free handoff threshold as configured (CAS attempts
-    /// per slot before retiring through the handoff cell; other schemes
-    /// ignore the knob, recorded verbatim).
-    pub handoff_attempts: u64,
-    /// Node recycling enabled ([`smr_core::SmrConfig::recycle`]).
-    pub recycle: bool,
-    /// Recycle-pool capacity as configured (recorded verbatim; meaningless
-    /// when `recycle` is false).
-    pub recycle_capacity: u64,
-    /// Recycle-magazine capacity as configured (recorded verbatim).
-    pub recycle_magazine: u64,
-    /// Simulated connections of an async-service run (`0` = the run was
-    /// thread-driven, not connection-driven).
-    pub connections: u64,
-    /// Git revision the binary was built from, if discoverable.
-    pub git_sha: Option<String>,
-    /// `available_parallelism` of the measuring host.
-    pub host_cores: u64,
-    /// Caller-supplied wall-clock stamp (the module never reads clocks).
-    pub timestamp: String,
-    /// Throughput, million operations per second.
-    pub mops: f64,
-    /// Average retired-but-unreclaimed objects per sample point.
-    pub avg_unreclaimed: f64,
-    /// Total operations executed.
-    pub ops: u64,
-    /// Nodes retired during the measured phase.
-    pub retired: u64,
-    /// Nodes freed during the measured phase.
-    pub freed: u64,
-    /// Allocations served from the recycle pool (zero when recycling off).
-    pub pool_hits: u64,
-    /// Allocations that fell through to the global allocator while
-    /// recycling was enabled (zero when recycling off).
-    pub pool_misses: u64,
-    /// Reclaimed nodes routed back to the recycle pool (zero when off).
-    pub recycled: u64,
+    /// The run's configuration, in order (see [`params_of`]).
+    pub params: Fields,
+    /// The run's measurements, in order; always includes [`GATED_METRICS`].
+    pub metrics: Fields,
+    /// Host and build that measured the run.
+    pub provenance: Provenance,
 }
 
 /// Host/build provenance shared by every record of one process run.
@@ -184,7 +268,7 @@ pub fn wall_clock_timestamp() -> String {
 }
 
 impl BenchRecord {
-    /// Builds a record from one measured run, flattening the parameters.
+    /// Builds a record from one measured run.
     pub fn from_run(
         figure: &str,
         scheme: &str,
@@ -194,114 +278,73 @@ impl BenchRecord {
         prov: &Provenance,
     ) -> Self {
         Self {
-            schema: SCHEMA_VERSION,
             figure: figure.to_string(),
-            scheme: scheme.to_string(),
-            structure: structure.to_string(),
-            mix: params.mix.short_label().to_string(),
-            threads: params.threads as u64,
-            stalled: params.stalled as u64,
-            secs: params.secs,
-            trials: params.trials as u64,
-            prefill: params.prefill as u64,
-            key_range: params.key_range,
-            sample_every: params.sample_every,
-            use_trim: params.use_trim,
-            trim_window: params.trim_window,
-            seed: params.seed,
-            slots: params.config.slots as u64,
-            batch_min: params.config.batch_min as u64,
-            era_freq: params.config.era_freq,
-            scan_threshold: params.config.scan_threshold as u64,
-            max_protect: params.config.max_protect as u64,
-            ack_threshold: params.config.ack_threshold,
-            adaptive: params.config.adaptive,
-            max_threads: params.config.max_threads as u64,
-            shards: params.config.shards as u64,
-            handle_churn: params.handle_churn,
-            routing: params.config.routing.short_label().to_string(),
-            handoff_attempts: params.config.handoff_attempts as u64,
-            recycle: params.config.recycle,
-            recycle_capacity: params.config.recycle_capacity as u64,
-            recycle_magazine: params.config.recycle_magazine as u64,
-            connections: params.connections,
-            git_sha: prov.git_sha.clone(),
-            host_cores: prov.host_cores,
-            timestamp: prov.timestamp.clone(),
-            mops: result.mops,
-            avg_unreclaimed: result.avg_unreclaimed,
-            ops: result.ops,
-            retired: result.retired,
-            freed: result.freed,
-            pool_hits: result.pool_hits,
-            pool_misses: result.pool_misses,
-            recycled: result.recycled,
+            params: params_of(scheme, structure, params),
+            metrics: fields([
+                ("mops", result.mops.into()),
+                ("avg_unreclaimed", result.avg_unreclaimed.into()),
+                ("ops", result.ops.into()),
+                ("retired", result.retired.into()),
+                ("freed", result.freed.into()),
+                ("pool_hits", result.pool_hits.into()),
+                ("pool_misses", result.pool_misses.into()),
+                ("recycled", result.recycled.into()),
+            ]),
+            provenance: prov.clone(),
         }
+    }
+
+    /// The param called `name`, if the record has one.
+    pub fn param(&self, name: &str) -> Option<&Value> {
+        get(&self.params, name)
+    }
+
+    /// Sets the param called `name`, appending it if the record has none.
+    pub fn set_param(&mut self, name: &str, value: impl Into<Value>) {
+        set(&mut self.params, name, value.into());
+    }
+
+    /// The metric called `name` as a float, if the record has one.
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        get(&self.metrics, name).and_then(Value::as_f64)
     }
 
     /// Serializes the record as one JSON object (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        push_u64(&mut s, "schema", self.schema);
-        push_str(&mut s, "figure", &self.figure);
-        push_str(&mut s, "scheme", &self.scheme);
-        push_str(&mut s, "structure", &self.structure);
-        push_str(&mut s, "mix", &self.mix);
-        push_u64(&mut s, "threads", self.threads);
-        push_u64(&mut s, "stalled", self.stalled);
-        push_f64(&mut s, "secs", self.secs);
-        push_u64(&mut s, "trials", self.trials);
-        push_u64(&mut s, "prefill", self.prefill);
-        push_u64(&mut s, "key_range", self.key_range);
-        push_u64(&mut s, "sample_every", self.sample_every);
-        push_bool(&mut s, "use_trim", self.use_trim);
-        push_u64(&mut s, "trim_window", self.trim_window);
-        push_u64(&mut s, "seed", self.seed);
-        push_u64(&mut s, "slots", self.slots);
-        push_u64(&mut s, "batch_min", self.batch_min);
-        push_u64(&mut s, "era_freq", self.era_freq);
-        push_u64(&mut s, "scan_threshold", self.scan_threshold);
-        push_u64(&mut s, "max_protect", self.max_protect);
-        push_i64(&mut s, "ack_threshold", self.ack_threshold);
-        push_bool(&mut s, "adaptive", self.adaptive);
-        push_u64(&mut s, "max_threads", self.max_threads);
-        push_u64(&mut s, "shards", self.shards);
-        push_u64(&mut s, "handle_churn", self.handle_churn);
-        push_str(&mut s, "routing", &self.routing);
-        push_u64(&mut s, "handoff_attempts", self.handoff_attempts);
-        push_bool(&mut s, "recycle", self.recycle);
-        push_u64(&mut s, "recycle_capacity", self.recycle_capacity);
-        push_u64(&mut s, "recycle_magazine", self.recycle_magazine);
-        push_u64(&mut s, "connections", self.connections);
-        match &self.git_sha {
-            Some(sha) => push_str(&mut s, "git_sha", sha),
-            None => push_null(&mut s, "git_sha"),
+        let mut s = String::with_capacity(768);
+        s.push_str("{\"figure\":");
+        push_json_string(&mut s, &self.figure);
+        for (key, list) in [("params", &self.params), ("metrics", &self.metrics)] {
+            let _ = write!(s, ",\"{key}\":{{");
+            for (i, (name, value)) in list.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                push_json_string(&mut s, name);
+                s.push(':');
+                push_value(&mut s, value);
+            }
+            s.push('}');
         }
-        push_u64(&mut s, "host_cores", self.host_cores);
-        push_str(&mut s, "timestamp", &self.timestamp);
-        push_f64(&mut s, "mops", self.mops);
-        push_f64(&mut s, "avg_unreclaimed", self.avg_unreclaimed);
-        push_u64(&mut s, "ops", self.ops);
-        push_u64(&mut s, "retired", self.retired);
-        push_u64(&mut s, "freed", self.freed);
-        push_u64(&mut s, "pool_hits", self.pool_hits);
-        push_u64(&mut s, "pool_misses", self.pool_misses);
-        push_u64(&mut s, "recycled", self.recycled);
-        s.pop(); // trailing comma
+        s.push_str(",\"git_sha\":");
+        match &self.provenance.git_sha {
+            Some(sha) => push_json_string(&mut s, sha),
+            None => s.push_str("null"),
+        }
+        let _ = write!(s, ",\"host_cores\":{},\"timestamp\":", self.provenance.host_cores);
+        push_json_string(&mut s, &self.provenance.timestamp);
         s.push('}');
         s
     }
 
     /// Parses one JSONL line back into a record.
     ///
-    /// Unknown fields are ignored; missing or ill-typed required fields are
-    /// an error naming the field.
+    /// Unknown top-level fields are ignored; a missing or ill-typed field,
+    /// a param or metric that is not a string, bool or number, or a missing
+    /// [`GATED_METRICS`] entry is an error naming it.
     pub fn decode(line: &str) -> Result<Self, String> {
-        let value = parse_json(line)?;
-        let obj = match value {
-            Json::Obj(fields) => fields,
-            other => return Err(format!("expected a JSON object, got {other:?}")),
+        let Json::Obj(obj) = parse_json(line)? else {
+            return Err("expected a JSON object".into());
         };
         let get = |name: &str| -> Result<&Json, String> {
             obj.iter()
@@ -309,115 +352,57 @@ impl BenchRecord {
                 .map(|(_, v)| v)
                 .ok_or_else(|| format!("missing field `{name}`"))
         };
-        let get_u64 = |name: &str| get(name).and_then(|v| v.as_u64(name));
-        let get_i64 = |name: &str| get(name).and_then(|v| v.as_i64(name));
-        let get_f64 = |name: &str| get(name).and_then(|v| v.as_f64(name));
-        let get_str = |name: &str| get(name).and_then(|v| v.as_str(name));
-        let get_bool = |name: &str| get(name).and_then(|v| v.as_bool(name));
-        // Fields added after schema 1 fall back to their historical
-        // implicit values so old baselines keep decoding.
-        let get_u64_or = |name: &str, default: u64| match get(name) {
-            Ok(v) => v.as_u64(name),
-            Err(_) => Ok(default),
+        let list = |name: &str| -> Result<Fields, String> {
+            let Json::Obj(items) = get(name)? else {
+                return Err(format!("field `{name}`: expected an object"));
+            };
+            items
+                .iter()
+                .map(|(n, v)| Ok((n.clone(), v.to_value(n)?)))
+                .collect()
         };
-        let get_str_or = |name: &str, default: &str| match get(name) {
-            Ok(v) => v.as_str(name),
-            Err(_) => Ok(default.to_string()),
+        let record = Self {
+            figure: get("figure")?.as_str("figure")?,
+            params: list("params")?,
+            metrics: list("metrics")?,
+            provenance: Provenance {
+                git_sha: match get("git_sha")? {
+                    Json::Null => None,
+                    v => Some(v.as_str("git_sha")?),
+                },
+                host_cores: get("host_cores")?.as_u64("host_cores")?,
+                timestamp: get("timestamp")?.as_str("timestamp")?,
+            },
         };
-        let get_bool_or = |name: &str, default: bool| match get(name) {
-            Ok(v) => v.as_bool(name),
-            Err(_) => Ok(default),
-        };
-        let git_sha = match get("git_sha")? {
-            Json::Null => None,
-            v => Some(v.as_str("git_sha")?),
-        };
-        Ok(Self {
-            schema: get_u64("schema")?,
-            figure: get_str("figure")?,
-            scheme: get_str("scheme")?,
-            structure: get_str("structure")?,
-            mix: get_str("mix")?,
-            threads: get_u64("threads")?,
-            stalled: get_u64("stalled")?,
-            secs: get_f64("secs")?,
-            trials: get_u64("trials")?,
-            prefill: get_u64("prefill")?,
-            key_range: get_u64("key_range")?,
-            sample_every: get_u64("sample_every")?,
-            use_trim: get_bool("use_trim")?,
-            trim_window: get_u64("trim_window")?,
-            seed: get_u64("seed")?,
-            slots: get_u64("slots")?,
-            batch_min: get_u64("batch_min")?,
-            era_freq: get_u64("era_freq")?,
-            scan_threshold: get_u64("scan_threshold")?,
-            max_protect: get_u64("max_protect")?,
-            ack_threshold: get_i64("ack_threshold")?,
-            adaptive: get_bool("adaptive")?,
-            max_threads: get_u64("max_threads")?,
-            shards: get_u64_or("shards", 1)?,
-            handle_churn: get_u64_or("handle_churn", 0)?,
-            routing: get_str_or("routing", "by-key")?,
-            handoff_attempts: get_u64_or("handoff_attempts", 8)?,
-            recycle: get_bool_or("recycle", false)?,
-            recycle_capacity: get_u64_or("recycle_capacity", 8192)?,
-            recycle_magazine: get_u64_or("recycle_magazine", 64)?,
-            connections: get_u64_or("connections", 0)?,
-            git_sha,
-            host_cores: get_u64("host_cores")?,
-            timestamp: get_str("timestamp")?,
-            mops: get_f64("mops")?,
-            avg_unreclaimed: get_f64("avg_unreclaimed")?,
-            ops: get_u64("ops")?,
-            retired: get_u64("retired")?,
-            freed: get_u64("freed")?,
-            pool_hits: get_u64_or("pool_hits", 0)?,
-            pool_misses: get_u64_or("pool_misses", 0)?,
-            recycled: get_u64_or("recycled", 0)?,
-        })
+        match GATED_METRICS.iter().find(|m| record.metric(m).is_none()) {
+            Some(m) => Err(format!("missing metric `{m}`")),
+            None => Ok(record),
+        }
     }
 }
 
-fn push_key(s: &mut String, key: &str) {
-    push_json_string(s, key);
-    s.push(':');
-}
-
-fn push_str(s: &mut String, key: &str, v: &str) {
-    push_key(s, key);
-    push_json_string(s, v);
-    s.push(',');
-}
-
-fn push_u64(s: &mut String, key: &str, v: u64) {
-    push_key(s, key);
-    let _ = write!(s, "{v},");
-}
-
-fn push_i64(s: &mut String, key: &str, v: i64) {
-    push_key(s, key);
-    let _ = write!(s, "{v},");
-}
-
-fn push_f64(s: &mut String, key: &str, v: f64) {
-    push_key(s, key);
-    // Rust's `Display` for f64 is the shortest representation that parses
-    // back to the same bits, so finite floats round-trip exactly. JSON has
-    // no NaN/infinity; they are coerced to 0 (benchmark metrics are always
-    // finite — durations are positive and counters are integers).
-    let v = if v.is_finite() { v } else { 0.0 };
-    let _ = write!(s, "{v},");
-}
-
-fn push_bool(s: &mut String, key: &str, v: bool) {
-    push_key(s, key);
-    let _ = write!(s, "{v},");
-}
-
-fn push_null(s: &mut String, key: &str) {
-    push_key(s, key);
-    s.push_str("null,");
+fn push_value(s: &mut String, v: &Value) {
+    match v {
+        Value::Int(i) => {
+            let _ = write!(s, "{i}");
+        }
+        Value::Float(x) => {
+            // Rust's `Display` for f64 is the shortest representation that
+            // parses back to the same bits and never uses an exponent, so a
+            // `.` marks the number as a float. JSON has no NaN/infinity;
+            // they are coerced to 0 (benchmark metrics are always finite).
+            let x = if x.is_finite() { *x } else { 0.0 };
+            let start = s.len();
+            let _ = write!(s, "{x}");
+            if !s[start..].contains('.') {
+                s.push_str(".0");
+            }
+        }
+        Value::Bool(b) => {
+            let _ = write!(s, "{b}");
+        }
+        Value::Str(v) => push_json_string(s, v),
+    }
 }
 
 fn push_json_string(s: &mut String, v: &str) {
@@ -443,8 +428,8 @@ fn push_json_string(s: &mut String, v: &str) {
 enum Json {
     Null,
     Bool(bool),
-    /// Numbers keep their source text so u64/i64/f64 can each parse it
-    /// at full precision (2^64-1 does not fit in an f64).
+    /// Numbers keep their source text so integers parse at full precision
+    /// (2^64-1 does not fit in an f64) and floats keep their type.
     Num(String),
     Str(String),
     #[allow(dead_code)]
@@ -462,24 +447,6 @@ impl Json {
         }
     }
 
-    fn as_i64(&self, name: &str) -> Result<i64, String> {
-        match self {
-            Json::Num(n) => n
-                .parse()
-                .map_err(|_| format!("field `{name}`: `{n}` is not an i64")),
-            other => Err(format!("field `{name}`: expected a number, got {other:?}")),
-        }
-    }
-
-    fn as_f64(&self, name: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(n) => n
-                .parse()
-                .map_err(|_| format!("field `{name}`: `{n}` is not an f64")),
-            other => Err(format!("field `{name}`: expected a number, got {other:?}")),
-        }
-    }
-
     fn as_str(&self, name: &str) -> Result<String, String> {
         match self {
             Json::Str(s) => Ok(s.clone()),
@@ -487,10 +454,19 @@ impl Json {
         }
     }
 
-    fn as_bool(&self, name: &str) -> Result<bool, String> {
+    fn to_value(&self, name: &str) -> Result<Value, String> {
         match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("field `{name}`: expected a bool, got {other:?}")),
+            Json::Bool(b) => Ok(Value::Bool(*b)),
+            Json::Str(s) => Ok(Value::Str(s.clone())),
+            Json::Num(n) if n.contains(['.', 'e', 'E']) => Ok(Value::Float(
+                n.parse().map_err(|_| format!("`{name}`: `{n}` is not a float"))?,
+            )),
+            Json::Num(n) => Ok(Value::Int(
+                n.parse().map_err(|_| format!("`{name}`: `{n}` is not an integer"))?,
+            )),
+            other => Err(format!(
+                "`{name}`: expected a string, bool or number, got {other:?}"
+            )),
         }
     }
 }
@@ -787,21 +763,22 @@ mod tests {
         assert!(!line.contains('\n'));
         let back = BenchRecord::decode(&line).expect("decodes");
         assert_eq!(back, r);
+        assert_eq!(back.encode(), line);
     }
 
     #[test]
     fn none_git_sha_round_trips() {
         let mut r = sample_record();
-        r.git_sha = None;
+        r.provenance.git_sha = None;
         let back = BenchRecord::decode(&r.encode()).unwrap();
-        assert_eq!(back.git_sha, None);
+        assert_eq!(back.provenance.git_sha, None);
         assert_eq!(back, r);
     }
 
     #[test]
     fn strings_with_specials_round_trip() {
         let mut r = sample_record();
-        r.scheme = "weird \"scheme\", with\\slashes\nand\ttabs \u{1F600}".into();
+        r.set_param("scheme", "weird \"scheme\", with\\slashes\nand\ttabs \u{1F600}");
         r.figure = "控制\u{0001}chars".into();
         let back = BenchRecord::decode(&r.encode()).unwrap();
         assert_eq!(back, r);
@@ -810,10 +787,26 @@ mod tests {
     #[test]
     fn extreme_integers_round_trip() {
         let mut r = sample_record();
-        r.seed = u64::MAX;
-        r.ops = u64::MAX - 1;
-        r.ack_threshold = i64::MIN;
+        r.set_param("seed", u64::MAX);
+        r.set_param("ack_threshold", i64::MIN);
+        set(&mut r.metrics, "ops", Value::from(u64::MAX - 1));
         let back = BenchRecord::decode(&r.encode()).unwrap();
+        assert_eq!(back, r);
+    }
+
+    #[test]
+    fn numbers_keep_their_type() {
+        // A whole float must not come back as an integer (or the gate key
+        // of a `secs = 1.0` run would change on re-read), and vice versa.
+        let mut r = sample_record();
+        r.set_param("secs", 1.0);
+        r.set_param("prefill", 1u64);
+        set(&mut r.metrics, "avg_unreclaimed", Value::from(-0.0));
+        let line = r.encode();
+        assert!(line.contains("\"secs\":1.0,") && line.contains("\"prefill\":1,"));
+        let back = BenchRecord::decode(&line).unwrap();
+        assert_eq!(back.param("secs"), Some(&Value::Float(1.0)));
+        assert_eq!(back.param("prefill"), Some(&Value::Int(1)));
         assert_eq!(back, r);
     }
 
@@ -824,81 +817,23 @@ mod tests {
         assert!(BenchRecord::decode(&line).is_ok());
         let err = BenchRecord::decode("{\"schema\":1}").unwrap_err();
         assert!(err.contains("missing field"), "{err}");
-    }
-
-    #[test]
-    fn schema_one_lines_decode_with_presharding_defaults() {
-        // A record written before `shards`/`handle_churn` existed (as in
-        // the committed seed baseline) must decode with the implicit
-        // single-shard, no-churn values.
-        let mut line = sample_record().encode();
-        line = line
-            .replace("\"shards\":1,", "")
-            .replace("\"handle_churn\":0,", "")
-            .replace("\"routing\":\"by-key\",", "");
-        assert!(!line.contains("shards"));
-        let back = BenchRecord::decode(&line).expect("schema-1 line decodes");
-        assert_eq!(back.shards, 1);
-        assert_eq!(back.handle_churn, 0);
-        assert_eq!(back.routing, "by-key");
-    }
-
-    #[test]
-    fn schema_two_lines_decode_with_zero_connections() {
-        // A record written before `connections` existed (the committed v2
-        // baselines) must decode as a thread-driven run.
-        let mut line = sample_record().encode();
-        line = line.replace("\"connections\":0,", "");
-        assert!(!line.contains("connections"));
-        let back = BenchRecord::decode(&line).expect("schema-2 line decodes");
-        assert_eq!(back.connections, 0);
-    }
-
-    #[test]
-    fn schema_three_lines_decode_with_default_handoff_attempts() {
-        // A record written before `handoff_attempts` existed (the committed
-        // v3 baselines) must decode with the config default of 8 — the
-        // value every pre-Crystalline run implicitly carried, so old
-        // baseline lines keep matching new measurements of the same combo.
-        let mut line = sample_record().encode();
-        line = line.replace("\"handoff_attempts\":8,", "");
-        assert!(!line.contains("handoff_attempts"));
-        let back = BenchRecord::decode(&line).expect("schema-3 line decodes");
-        assert_eq!(back.handoff_attempts, 8);
-    }
-
-    #[test]
-    fn schema_four_lines_decode_with_recycling_off() {
-        // A record written before the recycling fields existed (the
-        // committed v4 baselines) must decode as a run with recycling off
-        // and the knob defaults — the configuration every pre-recycling
-        // run implicitly carried — and zero pool counters.
-        let mut line = sample_record().encode();
-        line = line
-            .replace("\"recycle\":false,", "")
-            .replace("\"recycle_capacity\":8192,", "")
-            .replace("\"recycle_magazine\":64,", "")
-            .replace("\"pool_hits\":0,", "")
-            .replace("\"pool_misses\":0,", "")
-            // `recycled` is the final field, so it carries no trailing comma.
-            .replace(",\"recycled\":0}", "}");
-        assert!(!line.contains("recycle"));
-        let back = BenchRecord::decode(&line).expect("schema-4 line decodes");
-        assert!(!back.recycle);
-        assert_eq!(back.recycle_capacity, 8192);
-        assert_eq!(back.recycle_magazine, 64);
-        assert_eq!(back.pool_hits, 0);
-        assert_eq!(back.pool_misses, 0);
-        assert_eq!(back.recycled, 0);
+        let no_mops = sample_record().encode().replace("\"mops\":12.625,", "");
+        let err = BenchRecord::decode(&no_mops).unwrap_err();
+        assert!(err.contains("missing metric `mops`"), "{err}");
     }
 
     #[test]
     fn malformed_lines_rejected() {
         assert!(BenchRecord::decode("not json").is_err());
-        assert!(BenchRecord::decode("{\"schema\":}").is_err());
+        assert!(BenchRecord::decode("{\"figure\":}").is_err());
         assert!(BenchRecord::decode("[1,2]").is_err());
         let trailing = format!("{} extra", sample_record().encode());
         assert!(BenchRecord::decode(&trailing).is_err());
+        let nested = sample_record()
+            .encode()
+            .replace("\"threads\":8", "\"threads\":[8]");
+        let err = BenchRecord::decode(&nested).unwrap_err();
+        assert!(err.contains("`threads`"), "{err}");
     }
 
     #[test]

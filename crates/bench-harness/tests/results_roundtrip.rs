@@ -1,12 +1,13 @@
-//! Property test: every `BenchRecord` field survives encode→decode.
+//! Property test: every part of a `BenchRecord` survives encode→decode.
 //!
-//! Strings are drawn from a charset that covers JSON's escape-sensitive
-//! characters (quotes, backslashes, control characters, non-ASCII,
-//! astral-plane emoji), integers cover the full u64/i64 ranges, and floats
-//! are arbitrary finite non-NaN ratios — Rust's shortest-round-trip float
-//! formatting must bring every one of them back bit-exactly.
+//! Param and metric lists are random: names and string values are drawn
+//! from a charset that covers JSON's escape-sensitive characters (quotes,
+//! backslashes, control characters, non-ASCII, astral-plane emoji),
+//! integers cover the full u64/i64 ranges, and floats are arbitrary finite
+//! non-NaN ratios — Rust's shortest-round-trip float formatting must bring
+//! every one of them back bit-exactly, and as a float.
 
-use bench_harness::results::BenchRecord;
+use bench_harness::results::{BenchRecord, Provenance, Value, GATED_METRICS};
 use proptest::prelude::*;
 
 /// Escape-sensitive characters a JSON string encoder must survive.
@@ -29,76 +30,68 @@ fn ratio(num: u64, den: u64, negative: bool) -> f64 {
     }
 }
 
+/// A named value of any kind: full-range `u64` or `i64`, float, bool or
+/// string.
+fn field() -> impl Strategy<Value = (String, Value)> {
+    (
+        prop::collection::vec(0usize..CHARSET.len(), 0..12),
+        0u8..5,
+        (any::<u64>(), any::<i64>()),
+        (any::<u64>(), any::<u64>(), any::<bool>()),
+        any::<bool>(),
+        prop::collection::vec(0usize..CHARSET.len(), 0..12),
+    )
+        .prop_map(|(name, kind, (u, i), (num, den, neg), b, text)| {
+            let value = match kind {
+                0 => Value::from(u),
+                1 => Value::from(i),
+                2 => Value::Float(ratio(num, den, neg)),
+                3 => Value::Bool(b),
+                _ => Value::Str(string_from(text)),
+            };
+            (string_from(name), value)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
     #[test]
     fn every_field_survives_encode_decode(
         figure in prop::collection::vec(0usize..CHARSET.len(), 0..16),
-        scheme in prop::collection::vec(0usize..CHARSET.len(), 0..16),
-        structure in prop::collection::vec(0usize..CHARSET.len(), 0..16),
-        mix in prop::collection::vec(0usize..CHARSET.len(), 0..16),
-        timestamp in prop::collection::vec(0usize..CHARSET.len(), 0..16),
+        params in prop::collection::vec(field(), 0..12),
+        gated in (
+            (any::<u64>(), any::<u64>(), any::<bool>()),
+            (any::<u64>(), any::<u64>(), any::<bool>()),
+        ),
+        extra_metrics in prop::collection::vec(field(), 0..8),
         git_sha_some in any::<bool>(),
         git_sha in prop::collection::vec(0usize..CHARSET.len(), 0..16),
-        ints in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        more_ints in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        counters in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        config_ints in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        ack_threshold in any::<i64>(),
-        flags in (any::<bool>(), any::<bool>()),
-        secs_parts in (any::<u64>(), any::<u64>()),
-        mops_parts in (any::<u64>(), any::<u64>(), any::<bool>()),
-        unrec_parts in (any::<u64>(), any::<u64>(), any::<bool>()),
+        host_cores in any::<u64>(),
+        timestamp in prop::collection::vec(0usize..CHARSET.len(), 0..16),
     ) {
+        let ((a, b, c), (d, e, f)) = gated;
+        let mut metrics = vec![
+            (GATED_METRICS[0].to_string(), Value::Float(ratio(a, b, c))),
+            (GATED_METRICS[1].to_string(), Value::Float(ratio(d, e, f))),
+        ];
+        metrics.extend(extra_metrics);
         let record = BenchRecord {
-            schema: ints.0,
             figure: string_from(figure),
-            scheme: string_from(scheme),
-            structure: string_from(structure),
-            mix: string_from(mix),
-            threads: ints.1,
-            stalled: ints.2,
-            secs: ratio(secs_parts.0, secs_parts.1, false),
-            trials: ints.3,
-            prefill: more_ints.0,
-            key_range: more_ints.1,
-            sample_every: more_ints.2,
-            use_trim: flags.0,
-            trim_window: more_ints.3,
-            seed: counters.0,
-            slots: config_ints.0,
-            batch_min: config_ints.1,
-            era_freq: config_ints.2,
-            scan_threshold: config_ints.3,
-            max_protect: counters.1 % 1024,
-            ack_threshold,
-            adaptive: flags.1,
-            max_threads: counters.2 % (1 << 32),
-            shards: counters.3 % (1 << 16),
-            handle_churn: counters.0 % (1 << 32),
-            connections: counters.1 ^ more_ints.0,
-            routing: if flags.0 { "by-key" } else { "by-pointer" }.to_string(),
-            handoff_attempts: counters.2 ^ more_ints.1,
-            recycle: flags.0 ^ flags.1,
-            recycle_capacity: counters.3 ^ more_ints.2,
-            recycle_magazine: counters.0 ^ more_ints.3,
-            git_sha: git_sha_some.then(|| string_from(git_sha)),
-            host_cores: counters.3,
-            timestamp: string_from(timestamp),
-            mops: ratio(mops_parts.0, mops_parts.1, mops_parts.2),
-            avg_unreclaimed: ratio(unrec_parts.0, unrec_parts.1, unrec_parts.2),
-            ops: counters.0 ^ counters.1,
-            retired: counters.1 ^ counters.2,
-            freed: counters.2 ^ counters.3,
-            pool_hits: counters.3 ^ more_ints.0,
-            pool_misses: counters.0 ^ more_ints.1,
-            recycled: counters.1 ^ more_ints.2,
+            params,
+            metrics,
+            provenance: Provenance {
+                git_sha: git_sha_some.then(|| string_from(git_sha)),
+                host_cores,
+                timestamp: string_from(timestamp),
+            },
         };
         let line = record.encode();
         // JSONL invariant: exactly one line per record.
         prop_assert!(!line.contains('\n'), "embedded newline in {line:?}");
         let decoded = BenchRecord::decode(&line)
             .unwrap_or_else(|e| panic!("decode failed: {e}\nline: {line}"));
+        // `Value` equality is bitwise for floats and kind-exact, so a float
+        // that came back as an integer (or a changed bit) fails here.
         prop_assert_eq!(decoded, record);
     }
 }
