@@ -10,8 +10,9 @@
 //! ```
 //!
 //! Each measured `(scheme, structure, threads[, stalled])` point appends
-//! one [`bench_harness::BenchRecord`] — full `BenchParams`/`SmrConfig`
-//! provenance plus git sha, host cores, and timestamp — to the output file,
+//! one [`bench_harness::BenchRecord`] — every `BenchParams`/`SmrConfig`
+//! knob as a param, the run's metrics, plus git sha, host cores, and
+//! timestamp — to the output file,
 //! building the repository's performance trajectory over time. The rendered
 //! figure tables still go to stdout, from the *same* runs. Compare two
 //! snapshots with the `perfgate` binary.

@@ -54,7 +54,7 @@ pub struct BenchParams {
     /// registry instead of `threads` OS workers driving it directly. `0`
     /// keeps the classic thread-driven loop; the thread-driven driver in
     /// this module ignores the knob, it is consumed by the sweep binary
-    /// and recorded in the results schema.
+    /// and recorded as a param of its results.
     pub connections: u64,
     /// RNG seed.
     pub seed: u64,

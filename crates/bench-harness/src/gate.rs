@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::driver::BenchParams;
-use crate::results::{params_of, BenchRecord, Fields, Value, GATED_METRICS};
+use crate::results::{get, params_of, BenchRecord, Fields, Value, GATED_METRICS};
 
 /// Noise bands used by [`compare`].
 #[derive(Debug, Clone, Copy)]
@@ -59,12 +59,13 @@ const HEADER: [&str; 4] = ["scheme", "structure", "mix", "threads"];
 
 impl ComboKey {
     fn of(r: &BenchRecord) -> Self {
-        Self(r.params.iter().filter(|(n, _)| n != "trials").cloned().collect())
+        let keyed = r.params.iter().filter(|(n, _)| n != "trials");
+        Self(keyed.cloned().collect())
     }
 
     /// The param called `name`, if the key has one.
     pub fn param(&self, name: &str) -> Option<&Value> {
-        self.0.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        get(&self.0, name)
     }
 }
 
@@ -78,8 +79,7 @@ impl fmt::Display for ComboKey {
         write!(f, "{scheme}/{structure} {mix} t={threads}")?;
         let defaults = params_of("", "", &BenchParams::default());
         for (name, value) in &self.0 {
-            let default = defaults.iter().find(|(n, _)| n == name).map(|(_, v)| v);
-            if !HEADER.contains(&name.as_str()) && default != Some(value) {
+            if !HEADER.contains(&name.as_str()) && get(&defaults, name) != Some(value) {
                 write!(f, " {name}={value}")?;
             }
         }
@@ -245,30 +245,22 @@ impl fmt::Display for GateReport {
     }
 }
 
-#[derive(Default)]
-struct Averaged {
-    mops: f64,
-    unreclaimed: f64,
-    n: u64,
-}
-
-fn aggregate(records: &[BenchRecord]) -> BTreeMap<ComboKey, Averaged> {
-    let mut map: BTreeMap<ComboKey, Averaged> = BTreeMap::new();
+/// The mean of each [`GATED_METRICS`] entry per key: duplicate records of
+/// one configuration act as extra trials.
+fn aggregate(records: &[BenchRecord]) -> BTreeMap<ComboKey, [f64; 2]> {
+    let mut sums: BTreeMap<ComboKey, ([f64; 2], f64)> = BTreeMap::new();
     for r in records {
-        let [mops, unreclaimed] = GATED_METRICS.map(|m| {
-            r.metric(m)
-                .unwrap_or_else(|| panic!("record without the gated metric `{m}`"))
-        });
-        let e = map.entry(ComboKey::of(r)).or_default();
-        e.mops += mops;
-        e.unreclaimed += unreclaimed;
-        e.n += 1;
+        let (sum, n) = sums.entry(ComboKey::of(r)).or_default();
+        for (total, m) in sum.iter_mut().zip(GATED_METRICS) {
+            *total += r
+                .metric(m)
+                .expect("decode and from_run record every gated metric");
+        }
+        *n += 1.0;
     }
-    for e in map.values_mut() {
-        e.mops /= e.n as f64;
-        e.unreclaimed /= e.n as f64;
-    }
-    map
+    sums.into_iter()
+        .map(|(key, (sum, n))| (key, sum.map(|total| total / n)))
+        .collect()
 }
 
 /// Compares candidate records against a baseline under `tol`.
@@ -276,34 +268,34 @@ pub fn compare(baseline: &[BenchRecord], candidate: &[BenchRecord], tol: Toleran
     let base = aggregate(baseline);
     let mut cand = aggregate(candidate);
     let mut report = GateReport::default();
-    for (key, b) in base {
-        let Some(c) = cand.remove(&key) else {
+    for (key, [b_mops, b_unrec]) in base {
+        let Some([c_mops, c_unrec]) = cand.remove(&key) else {
             report.only_in_baseline.push(key);
             continue;
         };
-        let mops_verdict = if c.mops < b.mops * (1.0 - tol.mops_frac) {
+        let mops_verdict = if c_mops < b_mops * (1.0 - tol.mops_frac) {
             Verdict::Regressed
-        } else if c.mops > b.mops * (1.0 + tol.mops_frac) {
+        } else if c_mops > b_mops * (1.0 + tol.mops_frac) {
             Verdict::Improved
         } else {
             Verdict::WithinNoise
         };
-        let unrec_high = b.unreclaimed * (1.0 + tol.unreclaimed_frac) + tol.unreclaimed_slack;
-        let unrec_low = b.unreclaimed * (1.0 - tol.unreclaimed_frac) - tol.unreclaimed_slack;
-        let unreclaimed_verdict = if c.unreclaimed > unrec_high {
+        let unrec_high = b_unrec * (1.0 + tol.unreclaimed_frac) + tol.unreclaimed_slack;
+        let unrec_low = b_unrec * (1.0 - tol.unreclaimed_frac) - tol.unreclaimed_slack;
+        let unreclaimed_verdict = if c_unrec > unrec_high {
             Verdict::Regressed
-        } else if c.unreclaimed < unrec_low {
+        } else if c_unrec < unrec_low {
             Verdict::Improved
         } else {
             Verdict::WithinNoise
         };
         report.comparisons.push(Comparison {
             key,
-            baseline_mops: b.mops,
-            candidate_mops: c.mops,
+            baseline_mops: b_mops,
+            candidate_mops: c_mops,
             mops_verdict,
-            baseline_unreclaimed: b.unreclaimed,
-            candidate_unreclaimed: c.unreclaimed,
+            baseline_unreclaimed: b_unrec,
+            candidate_unreclaimed: c_unrec,
             unreclaimed_verdict,
         });
     }

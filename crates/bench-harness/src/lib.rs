@@ -16,11 +16,14 @@
 //!   [`report::FigureTable`]s.
 //! * [`cli`] — scale configuration (duration, threads, prefill) from
 //!   environment variables or arguments, with laptop-scale defaults.
-//! * [`results`] — persistent JSONL benchmark records with full
-//!   configuration provenance (dependency-free encoder/decoder), written by
-//!   the `sweep` binary and the `--record` flag of the figure drivers.
+//! * [`results`] — persistent JSONL benchmark records: a figure label,
+//!   ordered `params` and `metrics` lists and host/build provenance
+//!   (dependency-free encoder/decoder), written by the `sweep` binary and
+//!   the `--record` flag of the figure drivers. A new knob or metric is one
+//!   line in `results::params_of` or [`results::BenchRecord::from_run`].
 //! * [`gate`] — the perf-regression gate consumed by the `perfgate` binary:
-//!   compares two JSONL files with per-metric noise bands.
+//!   compares two JSONL files with per-metric noise bands, keyed on every
+//!   param but `trials`.
 //!
 //! # Example
 //!

@@ -50,8 +50,9 @@
 //! actions but does not model weaker memory orderings. The production crates
 //! use acquire/release (and seq-cst where required); this checker validates
 //! the *algorithmic* accounting, while the stress suites exercise ordering in
-//! the real implementation. CI runs the recycle suite and the scheme smoke
-//! matrix under AddressSanitizer, which checks memory safety but not
+//! the real implementation. CI runs the recycle suite, the scheme smoke
+//! matrix, the stalled-reader suite and the sync and async handle-pool
+//! suites under AddressSanitizer, which checks memory safety but not
 //! ordering.
 //!
 //! # Example

@@ -3,9 +3,9 @@
 //!
 //! The workspace carries hundreds of `unsafe` sites and `Ordering::Relaxed`
 //! uses. The stable toolchain it builds with has no Miri and no sanitizers;
-//! CI runs only the recycle suite and the scheme smoke matrix under nightly
-//! ASan, and nothing under TSan, so this crate is the repo's own
-//! static-analysis layer. A hand-written,
+//! CI runs only the recycle, scheme smoke, stalled-reader and handle-pool
+//! (sync and async) suites under nightly ASan, and nothing under TSan, so
+//! this crate is the repo's own static-analysis layer. A hand-written,
 //! comment/string-aware lexer ([`lexer`]) walks every production source
 //! file ([`walk`]) and enforces three rules ([`rules`]):
 //!
